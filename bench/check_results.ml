@@ -46,6 +46,21 @@ let () =
       | Some s -> s)
   in
   let incremental = speedup "incremental_speedup" in
+  (* The DCM hot path must stay allocation-free: the HC4 kernel and the
+     fixpoint worklist allocate nothing per revision, so the minor words a
+     from-scratch Propagate.run on sensor and receiver allocates per HC4
+     revision are only its per-run store and outcome lists — 13.0 when the
+     gate was set, 374.8 before. It is a deterministic count, so the
+     16-word bar applies to fast runs too. kernel_ns_per_op (the compiled
+     kernel's bechamel time per revision) must merely exist. *)
+  let max_fixpoint_words = 16. in
+  let fixpoint_words = speedup "fixpoint_words_per_rev" in
+  if fixpoint_words > max_fixpoint_words then
+    die
+      "fixpoint_words_per_rev %g > %g: the propagation fixpoint allocates \
+       per revision again"
+      fixpoint_words max_fixpoint_words;
+  let kernel_ns = speedup "kernel_ns_per_op" in
   let parallel = speedup "parallel_speedup" in
   (* the discrete-event engine must both exist and agree: a missing or
      non-finite overhead ratio means the scheduler comparison silently
@@ -181,12 +196,13 @@ let () =
       die "fault_sweep.completion_by_drop is missing or empty"
     | Some _ -> ()));
   Printf.printf
-    "bench-smoke check OK: incremental_speedup=%.2fx parallel_speedup=%.2fx \
+    "bench-smoke check OK: incremental_speedup=%.2fx \
+     fixpoint_words_per_rev=%.2f kernel_ns_per_op=%.1f parallel_speedup=%.2fx \
      (jobs=%d) domains_speedup=%.2fx (jobs=%d, cores=%d) des_overhead=%.2fx \
      pool_retry_overhead=%.2fx adapt_advantage=%.2fx \
      gen_scenarios_per_s=%.1f fuzz_throughput=%.1f/s \
      teamsimd=%d sessions @ %.0f ops/s (p99 %.2fms) recovery=%.1fms \
      chaos_sessions=%d/%d ok\n"
-    incremental parallel jobs domains domains_jobs cores des_overhead pool
+    incremental fixpoint_words kernel_ns parallel jobs domains domains_jobs cores des_overhead pool
     adapt_advantage gen_rate fuzz teamsimd_sessions teamsimd_ops teamsimd_p99
     recovery_ms chaos_sessions chaos_sessions

@@ -94,8 +94,8 @@ let gen_scenarios_per_s () =
     (List.length specs) dt rate;
   rate
 
-let results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate verdicts incr
-    des pool faults fuzz teamsimd chaos =
+let results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate ~kernel_ns
+    ~fixpoint_words verdicts incr des pool faults fuzz teamsimd chaos =
   let parallel_jobs, parallel_speedup, parallel_agrees = parallel in
   let domains_jobs, domains_speedup, domains_agrees = domains in
   Json.Obj
@@ -104,6 +104,8 @@ let results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate verdicts incr
       ("cores", Json.Num (float_of_int (Pool.cpu_count ())));
       ("fig9_seeds", Json.Num (float_of_int fig9_seeds));
       ("incremental_speedup", Json.Num incr.Incremental.speedup);
+      ("kernel_ns_per_op", Json.Num kernel_ns);
+      ("fixpoint_words_per_rev", Json.Num fixpoint_words);
       ("des_overhead", Json.Num des.Des_overhead.overhead);
       ("des_agrees", Json.Bool des.Des_overhead.agrees);
       ("pool_retry_overhead", Json.Num pool.Pool_overhead.overhead);
@@ -375,10 +377,15 @@ let () =
   print_string (Fuzz_bench.render fuzz);
 
   section "Micro-benchmarks (bechamel)";
-  timed "microbench" (fun () -> Microbench.run ~fast ());
+  let kernel_ns = timed "microbench" (fun () -> Microbench.run ~fast ()) in
+  let fixpoint_words = Microbench.fixpoint_words_per_rev () in
+  Printf.printf
+    "HC4 kernel: %.1f ns per revise; fixpoint: %.2f minor words per revision\n"
+    kernel_ns fixpoint_words;
 
   let json =
-    results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate
+    results_json ~fig9_seeds ~parallel ~domains ~adapt ~gen_rate ~kernel_ns
+      ~fixpoint_words
       (Exp_fig9.verdicts fig9) incr des pool faults fuzz teamsimd chaos
   in
   let oc = open_out "BENCH_results.json" in

@@ -1,7 +1,9 @@
 (* Bechamel micro-benchmarks of the engines underneath the experiments:
-   interval arithmetic, HC4 revision, full propagation fixpoints on the
-   paper's two design cases, a complete ADPM simulation, and the CSP
-   backtracking search with the two informed orderings. *)
+   interval arithmetic, HC4 revision (the compiled kernel the propagation
+   loop runs), full propagation fixpoints on the paper's two design cases,
+   a complete ADPM simulation, and the CSP backtracking search with the two
+   informed orderings; plus the minor-heap words a fixpoint allocates per
+   revision. *)
 
 open Bechamel
 open Toolkit
@@ -17,23 +19,26 @@ let interval_mul_test =
   let a = Interval.make 1.5 3.5 and b = Interval.make (-2.) 7. in
   Test.make ~name:"interval mul" (Staged.stage (fun () -> Interval.mul a b))
 
-let hc4_revise_test =
+let kernel_test_name = "HC4 revise_kernel (9-node expr)"
+
+let hc4_kernel_test =
   let e =
     Expr.(
       Sub
         ( Add (Mul (Var "x", Var "y"), Sqrt (Var "z")),
           Mul (Const 2., Var "w") ))
   in
-  let env = function
-    | "x" -> Interval.make 1. 4.
-    | "y" -> Interval.make 0.5 2.
-    | "z" -> Interval.make 0. 9.
-    | "w" -> Interval.make 1. 3.
-    | _ -> raise Not_found
+  let var_id = function
+    | "x" -> 0
+    | "y" -> 1
+    | "z" -> 2
+    | "w" -> 3
+    | x -> invalid_arg x
   in
-  let target = Interval.make neg_infinity 0. in
-  Test.make ~name:"HC4 revise (9-node expr)"
-    (Staged.stage (fun () -> Hc4.revise ~env e target))
+  let k = Hc4.compile ~var_id e ~target:(Interval.make neg_infinity 0.) in
+  let lo = [| 1.; 0.5; 0.; 1. |] and hi = [| 4.; 2.; 9.; 3. |] in
+  Test.make ~name:kernel_test_name
+    (Staged.stage (fun () -> Hc4.revise_kernel k ~lo ~hi))
 
 let propagate_test name build =
   let dpm = build () ~mode:Dpm.Adpm in
@@ -71,7 +76,7 @@ let tests =
   Test.make_grouped ~name:"adpm" ~fmt:"%s %s"
     [
       interval_mul_test;
-      hc4_revise_test;
+      hc4_kernel_test;
       propagate_test "propagate fixpoint (sensor, 21 constraints)"
         (fun () -> Sensor.build ());
       propagate_test "propagate fixpoint (receiver, 30 constraints)"
@@ -86,6 +91,26 @@ let tests =
       search_test Search.Min_domain;
     ]
 
+(* Minor-heap words per HC4 revision of from-scratch [Propagate.run]
+   fixpoints on the paper's two design cases, store build and outcome lists
+   included: a deterministic count. *)
+let fixpoint_words_per_rev () =
+  let nets =
+    [
+      Dpm.network (Sensor.build () ~mode:Dpm.Adpm);
+      Dpm.network (Receiver.build () ~mode:Dpm.Adpm);
+    ]
+  in
+  List.iter (fun net -> ignore (Propagate.run net : Propagate.outcome)) nets;
+  let w0 = Gc.minor_words () in
+  let revisions =
+    List.fold_left
+      (fun acc net -> acc + (Propagate.run net).Propagate.revisions)
+      0 nets
+  in
+  (Gc.minor_words () -. w0) /. float_of_int revisions
+
+(* Prints the table; returns the kernel's time per revision in ns. *)
 let run ~fast () =
   let quota = Time.second (if fast then 0.25 else 1.0) in
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 100) () in
@@ -115,4 +140,16 @@ let run ~fast () =
         in
         Printf.printf "%-55s %15s %10s\n" name pretty r2
       | Some [] | None -> Printf.printf "%-55s %15s\n" name "(no estimate)")
-    entries
+    entries;
+  match
+    List.find_map
+      (fun (name, result) ->
+        if String.ends_with ~suffix:kernel_test_name name then
+          Option.bind (Analyze.OLS.estimates result) (function
+            | est :: _ -> Some est
+            | [] -> None)
+        else None)
+      entries
+  with
+  | Some ns -> ns
+  | None -> nan

@@ -47,6 +47,14 @@ val status_on_box : ?eps:float -> (string -> Interval.t) -> t -> status
 (** Status over a box of current argument values. A box on which the
     expressions are undefined everywhere yields [Violated]. *)
 
+val status_of_kernel :
+  t -> Hc4.kernel -> lo:float array -> hi:float array -> status
+(** [status_of_kernel c k ~lo ~hi]: {!status_on_box} (default [eps]) by a
+    forward pass of [c]'s compiled kernel ({!Hc4.eval_kernel}) over a flat
+    box store, allocating nothing. The store bounds of [c]'s arguments must
+    be intervals (no NaN, [lo <= hi]); on other bounds {!status_on_box}
+    raises [Invalid_argument], and this does not check. *)
+
 val pp_rel : Format.formatter -> rel -> unit
 val pp_status : Format.formatter -> status -> unit
 val status_to_string : status -> string

@@ -36,11 +36,11 @@ type t = {
   mutable c_list_cache : (int * Constr.t list) option;
   mutable c_arr_cache : (int * Constr.t array) option;
   mutable adj_cache : (int * int array array) option;
-  kernels : (int, Hc4.kernel) Hashtbl.t;
-  (* Compiled HC4 kernels per constraint id, built lazily. Kernels carry
-     mutable scratch, so a network (and its copies, which share compiled
-     kernels) must stay within one domain — which holds: every simulation
-     run builds its own network. *)
+  mutable k_arr_cache : (int * Hc4.kernel array) option;
+  (* Compiled HC4 kernels indexed by constraint id. Kernels carry mutable
+     scratch, so a network (and its copies, which share compiled kernels)
+     must stay within one domain — which holds: every simulation run builds
+     its own network. *)
   dirty : (string, unit) Hashtbl.t;
   mutable n_pstate : pstate option;
 }
@@ -61,7 +61,7 @@ let create () =
     c_list_cache = None;
     c_arr_cache = None;
     adj_cache = None;
-    kernels = Hashtbl.create 64;
+    k_arr_cache = None;
     dirty = Hashtbl.create 16;
     n_pstate = None;
   }
@@ -109,8 +109,8 @@ let copy t =
   fresh.n_rev <- t.n_rev;
   fresh.n_struct <- t.n_struct;
   (* compiled kernels are immutable programs + scratch: safe to share
-     between sequentially-used copies, so only the table is copied *)
-  Hashtbl.iter (fun id k -> Hashtbl.replace fresh.kernels id k) t.kernels;
+     between sequentially-used copies *)
+  fresh.k_arr_cache <- t.k_arr_cache;
   Hashtbl.iter (fun name () -> Hashtbl.replace fresh.dirty name ()) t.dirty;
   fresh.n_pstate <- Option.map copy_pstate t.n_pstate;
   fresh
@@ -288,18 +288,28 @@ let adjacency_by_id t =
     t.adj_cache <- Some (t.n_struct, arr);
     arr
 
-let kernel t c =
-  let id = c.Constr.id in
-  match Hashtbl.find_opt t.kernels id with
-  | Some k -> k
-  | None ->
-    let k =
-      Hc4.compile
-        ~var_id:(fun x -> (find_prop t x).p_id)
-        (Constr.diff c) ~target:(Constr.target c)
+let kernels t =
+  match t.k_arr_cache with
+  | Some (r, arr) when r = t.n_struct -> arr
+  | cached ->
+    (* constraints are never removed and prop ids never move, so kernels
+       compiled before a structural change stay valid: keep them, compile
+       only the constraints added since *)
+    let old = match cached with Some (_, arr) -> arr | None -> [||] in
+    let arr =
+      Array.mapi
+        (fun i c ->
+          if i < Array.length old then old.(i)
+          else
+            Hc4.compile
+              ~var_id:(fun x -> (find_prop t x).p_id)
+              (Constr.diff c) ~target:(Constr.target c))
+        (constraint_array t)
     in
-    Hashtbl.replace t.kernels id k;
-    k
+    t.k_arr_cache <- Some (t.n_struct, arr);
+    arr
+
+let kernel t c = (kernels t).(c.Constr.id)
 
 let status t id =
   match Hashtbl.find_opt t.statuses id with

@@ -151,11 +151,14 @@ val adjacency_by_id : t -> int array array
 (** For each dense prop id, the ids of the constraints mentioning it, in
     constraint insertion order. *)
 
-val kernel : t -> Constr.t -> Adpm_expr.Hc4.kernel
-(** The compiled HC4 kernel of a constraint ([diff] against the default
-    [target]), built on first use and cached. Kernels hold mutable
+val kernels : t -> Adpm_expr.Hc4.kernel array
+(** The compiled HC4 kernel of every constraint ([diff] against the
+    default [target]), indexed by constraint id. Kernels hold mutable
     scratch: they are shared with {!copy}s and must only be used from one
     domain at a time. *)
+
+val kernel : t -> Constr.t -> Adpm_expr.Hc4.kernel
+(** [kernel t c] is [(kernels t).(c.id)]. *)
 
 val status : t -> int -> Constr.status
 (** Last recorded status; [Consistent] before any evaluation. *)

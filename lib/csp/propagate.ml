@@ -23,33 +23,45 @@ let store_box st pid = Interval.make st.lo.(pid) st.hi.(pid)
    are infinite their difference says nothing ([inf < inf] is false even
    when a bound genuinely moved, e.g. [-inf,+inf] -> [0,+inf]), so compare
    the bounds directly. *)
-let significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi =
+let[@inline] significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi =
   let old_w = ohi -. olo and new_w = nhi -. nlo in
   if Float.is_finite old_w then
-    new_w < old_w && old_w -. new_w > eps *. Float.max 1. old_w
+    (* [Float.max 1. old_w] for a non-NaN [old_w], without its sign-bit
+       calls *)
+    new_w < old_w && old_w -. new_w > eps *. if old_w > 1. then old_w else 1.
   else if Float.is_finite new_w then true
   else nlo > olo || nhi < ohi
 
-let numeric_props net =
-  List.filter
-    (fun name -> Domain.is_numeric (Network.initial_domain net name))
-    (Network.prop_names net)
+let is_numeric (p : Network.prop) = Domain.is_numeric p.Network.p_initial
+
+(* Load the start box of numeric property [p] ({!Network.box}): its
+   assigned point when bound and [pinned], otherwise the hull of its
+   initial range. *)
+let load_prop st (p : Network.prop) ~pinned =
+  let pid = p.Network.p_id in
+  match if pinned then p.Network.p_assigned else None with
+  | Some (Value.Num x) ->
+    st.lo.(pid) <- x;
+    st.hi.(pid) <- x;
+    st.mask.(pid) <- true
+  | Some (Value.Sym _) -> ()
+  | None -> (
+    match Domain.hull p.Network.p_initial with
+    | Some iv ->
+      st.lo.(pid) <- Interval.lo iv;
+      st.hi.(pid) <- Interval.hi iv;
+      st.mask.(pid) <- true
+    | None -> ())
 
 let initial_store net =
   let n = Network.prop_count net in
   let st =
     { lo = Array.make n 0.; hi = Array.make n 0.; mask = Array.make n false }
   in
-  List.iter
-    (fun name ->
-      match Network.box net name with
-      | Some iv ->
-        let pid = Network.prop_id net name in
-        st.lo.(pid) <- Interval.lo iv;
-        st.hi.(pid) <- Interval.hi iv;
-        st.mask.(pid) <- true
-      | None -> ())
-    (numeric_props net);
+  for pid = 0 to n - 1 do
+    let p = Network.prop_by_id net pid in
+    if is_numeric p then load_prop st p ~pinned:true
+  done;
   st
 
 let copy_store st =
@@ -65,20 +77,24 @@ let copy_store st =
    worklist), every constraint otherwise — and wave n+1 the constraints
    requeued while processing wave n.
 
-   The loop runs entirely on dense ids: constraints come from the cached
-   id-indexed array, membership flags are plain bool arrays, and a revision
-   is one [Hc4.revise_kernel] call against the float store followed by an
-   in-place gate over the kernel's accumulator slots. *)
+   The loop runs entirely on dense ids and allocates nothing per
+   revision: kernels come from the cached id-indexed array, the worklist is
+   a ring buffer of constraint ids with plain bool membership flags (a
+   constraint is queued at most once, so [n_con] slots suffice), and a
+   revision is one [Hc4.revise_kernel] call against the float store
+   followed by an in-place gate over the kernel's accumulator slots. *)
 let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
-  let carr = Network.constraint_array net in
+  let kernels = Network.kernels net in
   let adj = Network.adjacency_by_id net in
-  let n_con = Array.length carr in
-  let queue = Queue.create () in
-  let queued = Array.make (max 1 n_con) false in
+  let n_con = Array.length kernels in
+  let cap = max 1 n_con in
+  let ring = Array.make cap 0 and head = ref 0 and queue_len = ref 0 in
+  let queued = Array.make cap false in
   let enqueue cid =
     if not queued.(cid) then begin
       queued.(cid) <- true;
-      Queue.add cid queue
+      ring.((!head + !queue_len) mod cap) <- cid;
+      incr queue_len
     end
   in
   (match seed with
@@ -92,9 +108,9 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
   let any_empty = ref false in
   let wave_sizes = ref [] (* reversed *) in
   let this_wave = ref 0 in
-  let wave_boundary = ref (Queue.length queue) in
+  let wave_boundary = ref !queue_len in
   let continue_loop () =
-    if Queue.is_empty queue then false
+    if !queue_len = 0 then false
     else if !evaluations >= max_revisions then begin
       budget_hit := true;
       false
@@ -105,14 +121,16 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
     if !wave_boundary = 0 then begin
       wave_sizes := !this_wave :: !wave_sizes;
       this_wave := 0;
-      wave_boundary := Queue.length queue
+      wave_boundary := !queue_len
     end;
-    let cid = Queue.pop queue in
+    let cid = ring.(!head) in
+    head := (!head + 1) mod cap;
+    decr queue_len;
     queued.(cid) <- false;
     decr wave_boundary;
     incr this_wave;
     incr evaluations;
-    let k = Network.kernel net carr.(cid) in
+    let k = kernels.(cid) in
     if not (Hc4.revise_kernel k ~lo:st.lo ~hi:st.hi) then begin
       any_empty := true;
       match empty_marks with
@@ -200,9 +218,10 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
   in
   let unbound =
     List.filter_map
-      (fun x ->
-        if Network.is_bound net x then None else Some (Network.prop_id net x))
-      (numeric_props net)
+      (fun pid ->
+        let p = Network.prop_by_id net pid in
+        if is_numeric p && p.Network.p_assigned = None then Some pid else None)
+      (List.init (Network.prop_count net) Fun.id)
   in
   (* one shaving sweep per variable, repeated while it makes progress and
      the budget allows; bounded to avoid slow convergence *)
@@ -226,39 +245,54 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
   in
   sweeps 3
 
+(* The feasible subspace of property [p] on the store: its initial range
+   refined by its contracted box. *)
+let feasible_of st (p : Network.prop) =
+  let pid = p.Network.p_id in
+  if st.mask.(pid) then Domain.refine p.Network.p_initial (store_box st pid)
+  else p.Network.p_initial
+
+(* True when every argument of kernel [k] has an interval box in the store
+   (no NaN, [lo <= hi]), which the forward-pass status needs. *)
+let boxes_valid st k =
+  let vars = k.Hc4.k_vars in
+  let ok = ref true in
+  for j = 0 to Array.length vars - 1 do
+    let pid = vars.(j) in
+    if not (st.mask.(pid) && st.lo.(pid) <= st.hi.(pid)) then ok := false
+  done;
+  !ok
+
 (* The final classification sweep shared by both engines: status of every
-   constraint on the contracted box (one evaluation each) plus the feasible
-   subspace of every numeric property. *)
+   constraint on the contracted box (one evaluation each, a forward pass of
+   its kernel) plus the feasible subspace of every numeric property, both
+   in id order. *)
 let classify net st empty_marks revisions =
-  let env name =
-    let pid = Network.prop_id net name in
-    if st.mask.(pid) then store_box st pid else raise (Expr.Unbound_variable name)
-  in
-  let evaluations = ref revisions in
-  let statuses =
-    List.map
-      (fun c ->
-        incr evaluations;
-        let s =
-          if Hashtbl.mem empty_marks c.Constr.id then Constr.Violated
-          else Constr.status_on_box env c
+  let carr = Network.constraint_array net and kernels = Network.kernels net in
+  let statuses = ref [] in
+  for cid = 0 to Array.length carr - 1 do
+    let k = kernels.(cid) in
+    let s =
+      if Hashtbl.mem empty_marks cid then Constr.Violated
+      else if boxes_valid st k then
+        Constr.status_of_kernel carr.(cid) k ~lo:st.lo ~hi:st.hi
+      else
+        (* a NaN or inverted bound: the boxed evaluation raises on it *)
+        let env name =
+          let pid = Network.prop_id net name in
+          if st.mask.(pid) then store_box st pid
+          else raise (Expr.Unbound_variable name)
         in
-        (c.Constr.id, s))
-      (Network.constraints net)
-  in
-  let feasible =
-    List.map
-      (fun name ->
-        let initial = Network.initial_domain net name in
-        let pid = Network.prop_id net name in
-        let d =
-          if st.mask.(pid) then Domain.refine initial (store_box st pid)
-          else initial
-        in
-        (name, d))
-      (numeric_props net)
-  in
-  (statuses, feasible, !evaluations)
+        Constr.status_on_box env carr.(cid)
+    in
+    statuses := (cid, s) :: !statuses
+  done;
+  let feasible = ref [] in
+  for pid = 0 to Network.prop_count net - 1 do
+    let p = Network.prop_by_id net pid in
+    if is_numeric p then feasible := (p.Network.p_name, feasible_of st p) :: !feasible
+  done;
+  (List.rev !statuses, List.rev !feasible, revisions + Array.length carr)
 
 (* [base_revisions] charges work done before this run to its counters: a
    full restart that replaces an aborted incremental attempt inherits the
@@ -434,16 +468,18 @@ let run_incremental_and_apply ?eps ?max_revisions ?tracer net =
   apply net outcome;
   outcome
 
-let relaxed_feasible_group ?eps ?max_revisions ?consistency net ~target ~unpin =
-  let snapshot = Network.copy net in
-  Network.unassign snapshot target;
-  List.iter (fun p -> Network.unassign snapshot p) unpin;
-  let outcome = run ?eps ?max_revisions ?consistency snapshot in
-  let d =
-    try List.assoc target outcome.feasible
-    with Not_found -> Network.initial_domain net target
-  in
-  (d, outcome.evaluations)
+(* The store starts as a full run's would, except that [target] and the
+   [unpin] properties start from their initial hulls; only the fixpoint
+   runs, the network is not copied, and only the target's feasible subspace
+   is read off. The evaluation charge stays that of a full run: the
+   revisions plus one status evaluation per constraint. *)
+let relaxed_feasible_group ?(eps = 0.) ?(max_revisions = 10_000) net ~target
+    ~unpin =
+  let freed = List.map (Network.find_prop net) (target :: unpin) in
+  let st = initial_store net in
+  List.iter (fun p -> if is_numeric p then load_prop st p ~pinned:false) freed;
+  let revisions, _, _ = fixpoint ~eps ~max_revisions net st in
+  (feasible_of st (List.hd freed), revisions + Network.constraint_count net)
 
 let relaxed_feasible ?eps ?max_revisions net name =
   relaxed_feasible_group ?eps ?max_revisions net ~target:name ~unpin:[]

@@ -131,7 +131,6 @@ val relaxed_feasible :
 val relaxed_feasible_group :
   ?eps:float ->
   ?max_revisions:int ->
-  ?consistency:[ `Hull | `Shave of int ] ->
   Network.t ->
   target:string ->
   unpin:string list ->
@@ -139,4 +138,8 @@ val relaxed_feasible_group :
 (** As {!relaxed_feasible} for [target], but additionally ignoring the
     assignments of the [unpin] properties — used when [target] is a design
     parameter whose dependent performance properties must be free to move
-    with it. *)
+    with it. Hull consistency; the network is only read (its
+    {!Network.revision} does not move). The evaluation count is that of a
+    {!run} on the relaxed network: the HC4 revisions plus one status
+    evaluation per constraint.
+    @raise Invalid_argument for an unknown [target] or [unpin] name. *)

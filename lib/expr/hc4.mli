@@ -34,11 +34,14 @@ val revise :
     expression is {!compile}d once into a postorder opcode program with
     preallocated scratch, then {!revise_kernel} revises it directly
     against a struct-of-arrays box store ([lo]/[hi] float arrays indexed
-    by a dense property id). Results are bit-identical to {!revise} —
-    every float formula mirrors the boxed [Interval] operations branch
-    for branch, and the backward sweep recurses in the same order. *)
+    by a dense property id), allocating nothing. Results are bit-identical
+    to {!revise} — every float formula mirrors the boxed [Interval]
+    operations branch for branch, and the backward sweep recurses in the
+    same order. *)
 
 type fpair = { mutable rlo : float; mutable rhi : float }
+(** Flat two-float scratch: an operation's result bounds, or the
+    projection handed to the next intersection. *)
 
 type kernel = {
   k_op : int array;
@@ -66,7 +69,15 @@ type kernel = {
 val compile : var_id:(string -> int) -> Expr.t -> target:Interval.t -> kernel
 (** [compile ~var_id e ~target] builds the kernel enforcing
     [e IN target]. [var_id] maps each variable of [e] to its dense store
-    index. @raise Invalid_argument on a negative exponent. *)
+    index. @raise Invalid_argument on a negative exponent or a NaN
+    constant (which the boxed evaluators reject too). *)
+
+val eval_kernel : kernel -> lo:float array -> hi:float array -> bool
+(** The forward sweep alone: interval evaluation of the expression on the
+    store, the flat counterpart of {!Expr.eval_interval}. Returns [false]
+    where that returns [None] (a [sqrt] or [ln] argument entirely outside
+    its domain); on [true] the result is in [k_flo]/[k_fhi] at the root
+    (the last node). Allocates nothing; the store is not written. *)
 
 val revise_kernel : kernel -> lo:float array -> hi:float array -> bool
 (** One HC4 revision against the flat store. Returns [false] when the

@@ -1,5 +1,11 @@
 type t = { lo : float; hi : float }
 
+(* [Stdlib.min]/[Stdlib.max] at type float, without the polymorphic
+   [caml_compare] call: the same results on NaN and signed zeros. Not
+   [Float.min]/[Float.max], whose NaN and [-0.] rules differ. *)
+let[@inline] min (a : float) b = if a <= b then a else b
+let[@inline] max (a : float) b = if a >= b then a else b
+
 let make lo hi =
   if Float.is_nan lo || Float.is_nan hi then
     invalid_arg "Interval.make: NaN bound";

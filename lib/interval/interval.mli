@@ -15,6 +15,14 @@
 type t = private { lo : float; hi : float }
 (** Invariant: [lo <= hi], neither is NaN. *)
 
+val min : float -> float -> float
+(** [Stdlib.min] at type float, bit for bit (NaN and signed zeros
+    included), without the polymorphic comparison. Every bound computation
+    of this module uses it. *)
+
+val max : float -> float -> float
+(** [Stdlib.max] at type float, as {!min}. *)
+
 val make : float -> float -> t
 (** [make lo hi].
     @raise Invalid_argument if [lo > hi] or either bound is NaN. *)

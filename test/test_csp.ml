@@ -310,7 +310,10 @@ let test_relaxed_feasible () =
   let net, _, _ = small_net () in
   Network.assign net "x" (Value.Num 3.);
   Network.assign net "y" (Value.Num 8.);
+  let rev = Network.revision net in
   let d, evals = Propagate.relaxed_feasible net "x" in
+  Alcotest.(check int) "queried network's revision unchanged" rev
+    (Network.revision net);
   (match Domain.hull d with
   | Some iv ->
     Alcotest.(check bool) "window [2,4]" true
@@ -320,6 +323,147 @@ let test_relaxed_feasible () =
   (* original assignment untouched *)
   Alcotest.(check (option (float 0.))) "x still 3" (Some 3.)
     (Network.assigned_num net "x")
+
+(* The relaxed query by its definition: the fixpoint of a copy of the
+   network with [target] and [unpin] unassigned, and the evaluations of
+   that run. *)
+let relaxed_reference net ~target ~unpin =
+  let snapshot = Network.copy net in
+  List.iter (Network.unassign snapshot) (target :: unpin);
+  let outcome = Propagate.run snapshot in
+  let d =
+    try List.assoc target outcome.Propagate.feasible
+    with Not_found -> Network.initial_domain net target
+  in
+  (d, outcome.Propagate.evaluations)
+
+let test_relaxed_matches_reference () =
+  List.iter
+    (fun name ->
+      let sc = Adpm_scenarios.Registry.resolve name in
+      let net =
+        Adpm_core.Dpm.network
+          (sc.Adpm_teamsim.Scenario.sc_build ~mode:Adpm_core.Dpm.Adpm)
+      in
+      let numeric =
+        List.filter
+          (fun p -> Domain.is_numeric (Network.initial_domain net p))
+          (Network.prop_names net)
+      in
+      (* bind every other numeric property, at its initial range's low end
+         or midpoint, so some constraints end up violated *)
+      List.iteri
+        (fun i p ->
+          if i mod 2 = 0 then
+            match Domain.hull (Network.initial_domain net p) with
+            | Some iv when Interval.is_bounded iv ->
+              Network.assign net p
+                (Value.Num
+                   (if i mod 4 = 0 then Interval.lo iv else Interval.midpoint iv))
+            | Some _ | None -> ())
+        numeric;
+      let rev = Network.revision net in
+      List.iteri
+        (fun i target ->
+          let unpin =
+            List.filteri (fun j _ -> j <> i && (i + j) mod 5 = 0) numeric
+          in
+          List.iter
+            (fun unpin ->
+              let d, evals = Propagate.relaxed_feasible_group net ~target ~unpin in
+              let d', evals' = relaxed_reference net ~target ~unpin in
+              Alcotest.(check dom) (name ^ ": relaxed domain of " ^ target) d' d;
+              Alcotest.(check int) (name ^ ": evaluations for " ^ target) evals'
+                evals)
+            [ []; unpin ])
+        numeric;
+      Alcotest.(check int) (name ^ ": revision unchanged") rev
+        (Network.revision net))
+    [ "sensor"; "receiver"; "gen:n=10,k=3,seed=2,topology=star" ]
+
+(* {2 Kernel status = boxed status}
+
+   [Propagate]'s final sweep classifies each constraint by a forward pass
+   of its compiled kernel over the float store; [Constr.status_on_box], the
+   boxed interval evaluation, is the reference. Random expressions over
+   every operator ({!Test_hc4.gen_expr_xyz}), on boxes with infinite
+   bounds, divisors touching or straddling zero and [sqrt]/[ln] arguments
+   outside their domains. A store bound that is NaN or inverted must make
+   the sweep raise exactly what the boxed evaluation raises on it. *)
+
+let status_result f =
+  match f () with
+  | s -> Ok (Constr.status_to_string s)
+  | exception Invalid_argument m -> Error m
+
+let kernel_status_matches_boxed =
+  QCheck.Test.make
+    ~name:"kernel forward-pass status equals the boxed status" ~count:1000
+    (QCheck.make
+       ~print:(fun (lhs, rel, boxes) ->
+         Printf.sprintf "%s %s 0 on %s" (Expr.to_string lhs)
+           (Format.asprintf "%a" Constr.pp_rel rel)
+           (String.concat " "
+              (List.map (fun (l, h) -> Printf.sprintf "[%h,%h]" l h) boxes)))
+       QCheck.Gen.(
+         triple Test_hc4.gen_expr_xyz
+           (oneofl Constr.[ Le; Ge; Eq ])
+           (list_repeat 3 Test_hc4.gen_store_box)))
+    (fun (lhs, rel, boxes) ->
+      let names = [ "x"; "y"; "z" ] in
+      let net = Network.create () in
+      List.iter (fun p -> Network.add_prop net p (Domain.continuous (-100.) 100.)) names;
+      let con = Network.add_constraint net ~name:"c" lhs rel (c 0.) in
+      let lo = Array.of_list (List.map fst boxes) in
+      let hi = Array.of_list (List.map snd boxes) in
+      Network.store_prop_state net
+        {
+          Network.ps_lo = Array.copy lo;
+          ps_hi = Array.copy hi;
+          ps_mask = [| true; true; true |];
+          ps_empties = Hashtbl.create 1;
+        };
+      (* no property is dirty: the incremental engine classifies the stored
+         store as it is, with no revision in between *)
+      let actual =
+        status_result (fun () ->
+            List.assoc con.Constr.id
+              (Propagate.run_incremental net).Propagate.statuses)
+      in
+      let env name =
+        let i = Network.prop_id net name in
+        Interval.make lo.(i) hi.(i)
+      in
+      let expected =
+        status_result (fun () ->
+            let s = Constr.status_on_box env con in
+            (* the feasible-subspace sweep reads every box *)
+            List.iter (fun p -> ignore (env p : Interval.t)) names;
+            s)
+      in
+      expected = actual)
+
+let test_kernel_status_domain_cases () =
+  let x = v "x" in
+  List.iter
+    (fun (label, lhs, rel, (l, h)) ->
+      let con = mk rel lhs (c 0.) in
+      let k =
+        Hc4.compile ~var_id:(fun _ -> 0) (Constr.diff con)
+          ~target:(Constr.target con)
+      in
+      Alcotest.(check status) label
+        (Constr.status_on_box (fun _ -> Interval.make l h) con)
+        (Constr.status_of_kernel con k ~lo:[| l |] ~hi:[| h |]))
+    [
+      ("sqrt of a negative box", Expr.Sqrt x, Constr.Ge, (-3., -1.));
+      ("ln of a non-positive box", Expr.Ln x, Constr.Le, (-2., 0.));
+      ("ln touching zero", Expr.Ln x, Constr.Le, (0., 1.));
+      ("divisor straddling zero", Expr.(c 1. / x), Constr.Le, (-1., 1.));
+      ("divisor at zero", Expr.(c 1. / x), Constr.Ge, (0., 0.));
+      ("unbounded below", Expr.(x * x), Constr.Eq, (neg_infinity, 2.));
+      ("unbounded above", Expr.Exp x, Constr.Ge, (1., infinity));
+    ]
 
 (* Regression: [significantly_narrower] used to compare only interval
    widths, so a bound move between two infinite-width boxes
@@ -576,6 +720,11 @@ let suite =
     ("propagation idempotent at fixpoint", `Quick, test_propagate_idempotent);
     ("propagation revision budget", `Quick, test_propagate_budget);
     ("relaxed feasibility", `Quick, test_relaxed_feasible);
+    ("relaxed query matches its copy-and-unassign definition", `Quick,
+     test_relaxed_matches_reference);
+    QCheck_alcotest.to_alcotest kernel_status_matches_boxed;
+    ("kernel status on domain edge cases", `Quick,
+     test_kernel_status_domain_cases);
     ("half-infinite chain propagates", `Quick, test_half_infinite_chain);
     ("incremental = full after assign", `Quick,
      test_incremental_matches_full_after_assign);

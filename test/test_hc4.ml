@@ -200,6 +200,172 @@ let kernel_matches_boxed =
             && Float.equal k.Hc4.k_acc_hi.(j) (Interval.hi iv'))
           bs)
 
+
+(* {2 Zero allocation: the kernel's steady state allocates nothing} *)
+
+(* Minor words per [revise_kernel] over [rounds] sweeps of [ks] against
+   one store, after a warm-up sweep. *)
+let words_per_revise ks ~lo ~hi =
+  let sweep () =
+    for i = 0 to Array.length ks - 1 do
+      ignore (Hc4.revise_kernel ks.(i) ~lo ~hi : bool)
+    done
+  in
+  sweep ();
+  let rounds = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    sweep ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (rounds * Array.length ks)
+
+let test_kernel_zero_alloc_scenarios () =
+  List.iter
+    (fun name ->
+      let sc = Adpm_scenarios.Registry.resolve name in
+      let net =
+        Adpm_core.Dpm.network
+          (sc.Adpm_teamsim.Scenario.sc_build ~mode:Adpm_core.Dpm.Adpm)
+      in
+      ignore (Adpm_csp.Propagate.run_incremental net : Adpm_csp.Propagate.outcome);
+      let ps = Option.get (Adpm_csp.Network.prop_state net) in
+      let ks =
+        Array.map (Adpm_csp.Network.kernel net)
+          (Adpm_csp.Network.constraint_array net)
+      in
+      Alcotest.(check (float 0.))
+        (name ^ ": minor words per revise") 0.
+        (words_per_revise ks ~lo:ps.Adpm_csp.Network.ps_lo
+           ~hi:ps.Adpm_csp.Network.ps_hi))
+    [ "sensor"; "receiver"; "gen:n=10,k=3,seed=2,topology=star" ]
+
+(* Every opcode, on boxes that narrow, that leave the box alone and that
+   turn the constraint Empty in the forward or the backward pass. *)
+let test_kernel_zero_alloc_opcodes () =
+  let x = Expr.Var "x" and y = Expr.Var "y" in
+  let exprs =
+    Expr.
+      [
+        Add (x, Neg y); Sub (Mul (x, y), Const 2.); Div (x, y); Div (y, x);
+        Pow (x, 0); Pow (x, 2); Pow (x, 3); Pow (x, 4); Pow (Sub (x, y), 6);
+        Sqrt x; Sqrt (Neg y); Exp x; Ln y; Ln (Neg y); Abs (Sub (x, y));
+        Min (x, Mul (y, y)); Max (Neg x, y); Sub (Ln (Add (y, Const 1.)), Neg x);
+      ]
+  in
+  let var_id = function "x" -> 0 | "y" -> 1 | n -> failwith n in
+  List.iter
+    (fun target ->
+      let ks = Array.of_list (List.map (fun e -> Hc4.compile ~var_id e ~target) exprs) in
+      List.iter
+        (fun (lo, hi) ->
+          Alcotest.(check (float 0.)) "minor words per revise" 0.
+            (words_per_revise ks ~lo ~hi))
+        [
+          ([| -3.; 0.5 |], [| 4.; 2. |]);
+          ([| 1.; 2. |], [| 1.; 2. |]);
+          ([| neg_infinity; 0. |], [| infinity; 0. |]);
+          ([| -5.; -2. |], [| -1.; 3. |]);
+        ])
+    [ Interval.make neg_infinity 0.; Interval.make (-1.) 1.; Interval.make 0.5 infinity ]
+
+(* {2 Random expressions: kernel against the boxed interpreter}
+
+   Expressions over every operator (any integer exponent up to 5, so
+   [pow_int]'s repeated halving runs), and store boxes with infinite
+   bounds, points, divisors touching or straddling zero — and, in one case
+   in ten, a NaN or inverted bound, which only a store can hold. *)
+
+let gen_expr_xyz =
+  QCheck.Gen.(
+    sized_size (int_range 1 12)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (3, oneofl Expr.[ Var "x"; Var "y"; Var "z" ]);
+                 ( 1,
+                   map
+                     (fun c -> Expr.Const c)
+                     (frequency
+                        [
+                          (3, float_range (-5.) 5.);
+                          (1, oneofl [ 0.; -0.; infinity; neg_infinity ]);
+                        ]) );
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             let sub = self (n / 2) and un = self (n - 1) in
+             let bin f = map2 f sub sub and unary f = map f un in
+             oneof
+               [
+                 bin (fun a b -> Expr.Add (a, b));
+                 bin (fun a b -> Expr.Sub (a, b));
+                 bin (fun a b -> Expr.Mul (a, b));
+                 bin (fun a b -> Expr.Div (a, b));
+                 bin (fun a b -> Expr.Min (a, b));
+                 bin (fun a b -> Expr.Max (a, b));
+                 unary (fun a -> Expr.Neg a);
+                 unary (fun a -> Expr.Sqrt a);
+                 unary (fun a -> Expr.Exp a);
+                 unary (fun a -> Expr.Ln a);
+                 unary (fun a -> Expr.Abs a);
+                 map2 (fun a k -> Expr.Pow (a, k)) un (int_range 0 5);
+               ]))
+
+let gen_store_box =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun a w -> (a, a +. w)) (float_range (-10.) 10.) (float_range 0. 10.));
+        (1, map (fun a -> (a, a)) (float_range (-3.) 3.));
+        (1, map (fun a -> (neg_infinity, a)) (float_range (-3.) 3.));
+        (1, map (fun a -> (a, infinity)) (float_range (-3.) 3.));
+        (1, return (neg_infinity, infinity));
+        (1, oneofl [ (0., 0.); (-0., 0.); (0., 5.); (-5., 0.); (-5., -0.) ]);
+        (1, oneofl [ (nan, 1.); (0., nan); (2., 1.) ]);
+      ])
+
+let kernel_matches_boxed_random =
+  QCheck.Test.make
+    ~name:"compiled kernel is bit-identical to the boxed revise (random expr)"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (e, (tl, th), boxes) ->
+         Printf.sprintf "%s IN [%h,%h] on %s" (Expr.to_string e) tl th
+           (String.concat " "
+              (List.map (fun (l, h) -> Printf.sprintf "[%h,%h]" l h) boxes)))
+       QCheck.Gen.(
+         triple gen_expr_xyz
+           (oneofl
+              [ (neg_infinity, 1e-9); (-1e-9, infinity); (-1e-9, 1e-9); (-2., 3.) ])
+           (list_repeat 3 gen_store_box)))
+    (fun (e, (tl, th), boxes) ->
+      let valid = List.for_all (fun (l, h) -> l <= h) boxes in
+      let var_id = function "x" -> 0 | "y" -> 1 | "z" -> 2 | n -> failwith n in
+      let lo = Array.of_list (List.map fst boxes) in
+      let hi = Array.of_list (List.map snd boxes) in
+      let env x = Interval.make lo.(var_id x) hi.(var_id x) in
+      let target = Interval.make tl th in
+      let k = Hc4.compile ~var_id e ~target in
+      (not valid)
+      ||
+      match Hc4.revise ~env e target with
+      | exception Invalid_argument _ ->
+        (* a NaN projection the boxed path rejects; nothing to compare *)
+        true
+      | Hc4.Empty -> not (Hc4.revise_kernel k ~lo ~hi)
+      | Hc4.Narrowed bs ->
+        Hc4.revise_kernel k ~lo ~hi
+        && List.for_all
+             (fun (name, iv') ->
+               let j = ref 0 in
+               while k.Hc4.k_vars.(!j) <> var_id name do incr j done;
+               Float.equal k.Hc4.k_acc_lo.(!j) (Interval.lo iv')
+               && Float.equal k.Hc4.k_acc_hi.(!j) (Interval.hi iv'))
+             bs)
+
 let suite =
   [
     ("simple inequality projection", `Quick, test_simple_le);
@@ -212,4 +378,9 @@ let suite =
     QCheck_alcotest.to_alcotest hc4_preserves_solutions;
     QCheck_alcotest.to_alcotest hc4_contracts;
     QCheck_alcotest.to_alcotest kernel_matches_boxed;
+    QCheck_alcotest.to_alcotest kernel_matches_boxed_random;
+    ("kernel sweep allocates nothing (scenarios)", `Quick,
+     test_kernel_zero_alloc_scenarios);
+    ("kernel sweep allocates nothing (every opcode)", `Quick,
+     test_kernel_zero_alloc_opcodes);
   ]

@@ -131,6 +131,28 @@ let incl_div =
 let incl_min = inclusion "interval min inclusion" Interval.min_i Float.min
 let incl_max = inclusion "interval max inclusion" Interval.max_i Float.max
 
+(* [Interval.min]/[max] replace the polymorphic [Stdlib] ones inside the
+   module; they must return the very same float, bit for bit, on the
+   special values where [Float.min]/[max] would not. *)
+let gen_special_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ nan; -.nan; 0.; -0.; infinity; neg_infinity; 1.; -1. ]);
+        (2, float_range (-10.) 10.);
+      ])
+
+let monomorphic_min_max =
+  QCheck.Test.make ~name:"Interval.min/max are Stdlib.min/max on floats"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "%h %h" a b)
+       QCheck.Gen.(pair gen_special_float gen_special_float))
+    (fun (a, b) ->
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      same (Interval.min a b) (Stdlib.min a b)
+      && same (Interval.max a b) (Stdlib.max a b))
+
 let incl_unary =
   QCheck.Test.make ~name:"interval unary inclusion (neg/abs/sq/exp)" ~count:500
     (QCheck.make
@@ -265,6 +287,7 @@ let suite =
     QCheck_alcotest.to_alcotest incl_div;
     QCheck_alcotest.to_alcotest incl_min;
     QCheck_alcotest.to_alcotest incl_max;
+    QCheck_alcotest.to_alcotest monomorphic_min_max;
     QCheck_alcotest.to_alcotest incl_unary;
     QCheck_alcotest.to_alcotest incl_inverse;
     QCheck_alcotest.to_alcotest incl_pow_roundtrip;
