@@ -1,8 +1,7 @@
 (* teamsimd load bench: N concurrent scripted sessions over real unix
    sockets against an in-process daemon, all driven from one thread (the
    client's [pump] runs the daemon's event loop while it waits — no
-   domains, no forks, so the section composes with the fork/domain
-   ordering rules in main.ml).
+   domains, so the section can run before the domain runner in main.ml).
 
    Reports the session count, aggregate exec throughput, and the p99
    per-op round-trip latency (client send -> response frame decoded). *)

@@ -159,3 +159,32 @@ let scenario decl =
   problem 2 "problem" decl.Ast.sd_problem;
   add "}\n";
   Buffer.contents buf
+
+(* The artifact contract on top of [scenario]: the emitted text is the
+   canonical spelling of the declaration, and parsing it back yields a
+   structurally identical AST. Generated scenarios go through [checked] so
+   a rendering bug can never silently ship an artifact that elaborates to
+   a different network than the in-memory declaration. *)
+let roundtrip decl =
+  let src = scenario decl in
+  match Parser.parse src with
+  | parsed ->
+    if parsed = decl then Ok src
+    else
+      Error
+        (Printf.sprintf
+           "emitted DDDL for %s does not round-trip: parse(emit(m)) <> m"
+           decl.Ast.sd_name)
+  | exception Lexer.Error { line; col; message } ->
+    Error
+      (Printf.sprintf "emitted DDDL for %s fails to lex at %d:%d: %s"
+         decl.Ast.sd_name line col message)
+  | exception Parser.Error { line; col; message } ->
+    Error
+      (Printf.sprintf "emitted DDDL for %s fails to parse at %d:%d: %s"
+         decl.Ast.sd_name line col message)
+
+let checked decl =
+  match roundtrip decl with
+  | Ok src -> src
+  | Error msg -> raise (Elaborate.Error msg)

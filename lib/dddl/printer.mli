@@ -1,9 +1,10 @@
-(** Pretty-printer for DDDL.
+(** Pretty-printer and canonical emitter for DDDL.
 
     Produces text that the parser reads back to a structurally identical
-    AST (the round-trip property tested in the suite). Useful for exporting
-    programmatically built scenarios — e.g. generated ones — as editable
-    DDDL sources. *)
+    AST (the round-trip property tested in the suite). This is the
+    artifact side of the scenario pipeline: every scenario — hand-written
+    or generated — is a DDDL text, and {!scenario} is how a
+    programmatically built declaration becomes one. *)
 
 val name : string -> string
 (** A property/constraint/problem name, quoted when it is not a plain
@@ -15,3 +16,11 @@ val expr : Adpm_expr.Expr.t -> string
 
 val scenario : Ast.scenario_decl -> string
 (** A complete scenario description, parseable by {!Parser.parse}. *)
+
+val roundtrip : Ast.scenario_decl -> (string, string) result
+(** Render, re-parse, and compare: [Ok src] when [parse (scenario m) = m],
+    [Error msg] describing the divergence otherwise. *)
+
+val checked : Ast.scenario_decl -> string
+(** Like {!scenario} but verifies the round-trip first.
+    @raise Elaborate.Error when the emitted text does not round-trip. *)

@@ -14,6 +14,8 @@
    be domain-safe (the simulation runner is: each run builds its own
    network, Rng and DCM from the scenario closure). *)
 
+exception Worker_error of { index : int; message : string }
+
 let run_batch ~jobs ~f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
@@ -32,27 +34,23 @@ let run_batch ~jobs ~f items =
     end
   in
   let helpers = max 0 (min jobs n - 1) in
-  if helpers > 0 then Pool.block_fork ();
   let domains = Array.init helpers (fun _ -> Domain.spawn work) in
   work ();
   Array.iter Domain.join domains;
   Array.map (function Some r -> r | None -> assert false) out
 
-let map_partial ~jobs ~f items =
-  Array.to_list (run_batch ~jobs ~f items)
-
 let map ~jobs ~f items =
   let results = run_batch ~jobs ~f items in
   let failure = ref None in
-  (* scan right-to-left so the surviving failure is the lowest index,
-     matching the fork pool's deterministic failure contract *)
+  (* scan right-to-left so the surviving failure is the lowest index:
+     which domain failed first must not show in the report *)
   for i = Array.length results - 1 downto 0 do
     match results.(i) with
     | Error message -> failure := Some (i, message)
     | Ok _ -> ()
   done;
   match !failure with
-  | Some (index, message) -> raise (Pool.Worker_error { index; message })
+  | Some (index, message) -> raise (Worker_error { index; message })
   | None ->
     Array.to_list
       (Array.map (function Ok v -> v | Error _ -> assert false) results)

@@ -2,7 +2,6 @@ open Adpm_util
 open Adpm_csp
 open Adpm_core
 open Adpm_trace
-module Pool = Adpm_parallel.Pool
 module Dpool = Adpm_parallel.Dpool
 module Model = Adpm_sim.Model
 module Scheduler = Adpm_sim.Scheduler
@@ -505,97 +504,16 @@ let run ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
       }
 
 (* Parallelism never changes a number: each seed's run draws from its own
-   Rng stream regardless of which process executes it, and the summary
-   round-trips exactly through Metrics_codec (ints, bools, strings only).
-   So the only contract the pool must keep is order and loudness: results
-   come back in seed order, and any worker failure names its seed. *)
-let decode_summary ~seed payload =
-  match Metrics_codec.of_string payload with
-  | Error msg ->
-    Error (Printf.sprintf "undecodable worker result for seed %d: %s" seed msg)
-  | Ok summary ->
-    if summary.Metrics.s_seed <> seed then
-      Error
-        (Printf.sprintf "worker result out of order: expected seed %d, got %d"
-           seed summary.Metrics.s_seed)
-    else Ok summary
-
-type backend = Domains | Fork | Inline
-
-let backend_to_string = function
-  | Domains -> "domains"
-  | Fork -> "fork"
-  | Inline -> "inline"
-
-let backend_of_string = function
-  | "domains" -> Ok Domains
-  | "fork" -> Ok Fork
-  | "inline" -> Ok Inline
-  | s -> Error (Printf.sprintf "unknown backend '%s' (expected domains|fork|inline)" s)
-
-let run_many ?(backend = Domains) ?(jobs = 1) ?retries ?job_timeout ?on_retry
-    cfg scenario ~seeds =
+   Rng stream regardless of which domain executes it, and summaries come
+   back as ordinary heap values. So the only contract the pool must keep
+   is order and loudness: results come back in seed order, and any worker
+   failure names its seed. *)
+let run_many ?(jobs = 1) cfg scenario ~seeds =
   let run_seed seed = (run (Config.with_seed cfg seed) scenario).o_summary in
-  let inline () = List.map run_seed seeds in
-  let fail_seed index message =
-    failwith
-      (Printf.sprintf "Engine.run_many: worker failed for seed %d: %s"
-         (List.nth seeds index) message)
-  in
-  if jobs <= 1 || List.length seeds <= 1 then inline ()
+  if jobs <= 1 || List.length seeds <= 1 then List.map run_seed seeds
   else
-    match backend with
-    | Inline -> inline ()
-    | Domains -> (
-      (* shared heap: summaries come back as ordinary values, no codec *)
-      try Dpool.map ~jobs ~f:run_seed seeds
-      with Pool.Worker_error { index; message } -> fail_seed index message)
-    | Fork ->
-      if not (Pool.available ()) then inline ()
-      else begin
-        let payloads =
-          try
-            Pool.map_serialized ?retries ?job_timeout ?on_retry ~jobs
-              ~f:(fun seed -> Metrics_codec.to_string (run_seed seed))
-              seeds
-          with Pool.Worker_error { index; message } -> fail_seed index message
-        in
-        List.map2
-          (fun seed payload ->
-            match decode_summary ~seed payload with
-            | Ok summary -> summary
-            | Error msg -> failwith ("Engine.run_many: " ^ msg))
-          seeds payloads
-      end
-
-(* The `Partial policy: a poisoned seed costs one Error slot, never the
-   batch. The inline path mirrors the pool's contract (an exception in
-   the run becomes that seed's Error) so callers see one shape. *)
-let run_many_partial ?(backend = Domains) ?(jobs = 1) ?retries ?job_timeout
-    ?on_retry cfg scenario ~seeds =
-  let run_seed seed = (run (Config.with_seed cfg seed) scenario).o_summary in
-  let inline () =
-    List.map
-      (fun seed ->
-        match run_seed seed with
-        | summary -> Ok summary
-        | exception e -> Error ("worker raised: " ^ Printexc.to_string e))
-      seeds
-  in
-  if jobs <= 1 || List.length seeds <= 1 then inline ()
-  else
-    match backend with
-    | Inline -> inline ()
-    | Domains -> Dpool.map_partial ~jobs ~f:run_seed seeds
-    | Fork ->
-      if not (Pool.available ()) then inline ()
-      else
-        List.map2
-          (fun seed result ->
-            match result with
-            | Error _ as e -> e
-            | Ok payload -> decode_summary ~seed payload)
-          seeds
-          (Pool.map_partial ?retries ?job_timeout ?on_retry ~jobs
-             ~f:(fun seed -> Metrics_codec.to_string (run_seed seed))
-             seeds)
+    try Dpool.map ~jobs ~f:run_seed seeds
+    with Dpool.Worker_error { index; message } ->
+      failwith
+        (Printf.sprintf "Engine.run_many: worker failed for seed %d: %s"
+           (List.nth seeds index) message)

@@ -66,72 +66,25 @@ val run_lockstep :
     @raise Invalid_argument if the configuration fails
     {!Config.validate}. *)
 
-type backend =
-  | Domains
-      (** OCaml 5 shared-memory domain pool ({!Adpm_parallel.Dpool}): no
-          serialization, no per-shard process — the throughput default.
-          No fault isolation: a worker that exits or wedges the runtime
-          takes the whole process. *)
-  | Fork
-      (** Fork+pipe pool with supervision ({!Adpm_parallel.Pool}): each
-          shard in its own process; crashes and hangs are retried. The
-          fault-isolation backend. *)
-  | Inline  (** Sequential in-process reference path. *)
-
-val backend_to_string : backend -> string
-val backend_of_string : string -> (backend, string) result
-
 val run_many :
-  ?backend:backend ->
   ?jobs:int ->
-  ?retries:int ->
-  ?job_timeout:float ->
-  ?on_retry:(Adpm_parallel.Pool.supervision_event -> unit) ->
   Config.t ->
   Scenario.t ->
   seeds:int list ->
   Metrics.run_summary list
 (** One run per seed (via {!run}), same configuration otherwise.
 
-    [jobs] (default 1) shards the seed list across that many workers of
-    the chosen [backend] (default [Domains]). The result is
-    {b bit-identical} to the sequential path for any backend and any
-    [jobs] — same summaries, same seed order — because each seed's run
-    owns its Rng stream, runs are independent (every run builds its own
-    network), and fork-backend summaries round-trip exactly through
-    {!Metrics_codec}. With [jobs <= 1] or a single seed nothing is
-    spawned; [Fork] also falls back inline when fork is unavailable —
-    on non-Unix platforms, or once the [Domains] backend has spawned its
-    first domain (the OCaml 5 runtime permanently forbids [Unix.fork]
-    after that), so run fork batches before domain batches when one
-    process needs both.
+    [jobs] (default 1) shards the seed list across that many domains of
+    the shared-memory pool ({!Adpm_parallel.Dpool}). With [jobs <= 1] or a
+    single seed nothing is spawned and the seeds run in order on the
+    calling domain: that is the sequential reference. The result is
+    {b bit-identical} to it for any [jobs] — same summaries, same seed
+    order — because each seed's run owns its Rng stream and builds its
+    own network.
 
-    [retries], [job_timeout] and [on_retry] configure the fork pool's
-    supervision (crashed or hung workers are respawned and their
-    undelivered seeds re-run, up to [retries] extra attempts per seed);
-    they pass through to {!Adpm_parallel.Pool.map_serialized} and are
-    ignored by the other backends (domains share one process — there is
-    nothing to respawn; pick [Fork] when runs may crash). Supervision
-    does not affect results, only availability: a retried seed re-runs
-    from scratch and is deterministic in its seed.
+    A run that never terminates is not a concern here: every run is
+    bounded by the cooperative budgets [Config.max_ops] and
+    [Config.max_revisions].
 
-    @raise Failure naming the failing seed if a worker exhausts its retry
-    budget or returns an undecodable result (no silent partial
-    aggregates). *)
-
-val run_many_partial :
-  ?backend:backend ->
-  ?jobs:int ->
-  ?retries:int ->
-  ?job_timeout:float ->
-  ?on_retry:(Adpm_parallel.Pool.supervision_event -> unit) ->
-  Config.t ->
-  Scenario.t ->
-  seeds:int list ->
-  (Metrics.run_summary, string) result list
-(** {!run_many} under the [`Partial] delivery policy
-    ({!Adpm_parallel.Pool.map_partial}): one [result] per seed, in seed
-    order. A seed whose worker exhausts its retry budget (or whose run
-    raises, on the inline path) yields [Error message] in its slot instead
-    of poisoning the whole batch; every other seed's summary is still
-    bit-identical to the sequential path. *)
+    @raise Failure naming the lowest failing seed if a run raises (no
+    silent partial aggregates). *)

@@ -1,13 +1,15 @@
-(* Tests for the shared-memory domain backend: randomized three-way
-   equivalence (domains vs fork vs inline produce bit-identical summary
-   lists on every scenario, both modes, jobs in {1,2,4}), and the Dpool
-   failure contract — a raising worker surfaces as Worker_error with the
-   lowest failing index, exactly like the fork pool. *)
+(* Tests for the multi-seed runner: Engine.run_many on the shared-memory
+   domain pool returns summary lists bit-identical to the sequential
+   reference on every scenario, both modes, jobs in {1,2,4}, in seed
+   order; and the Dpool failure contract — a raising worker surfaces as
+   Worker_error with the lowest failing index, which run_many reports as
+   a Failure naming that seed. [suite] sweeps randomized seeds;
+   [parallel_suite] pins the fixed seeds 1-4 and the small-input edges of
+   Dpool.map. *)
 
 open Adpm_core
 open Adpm_teamsim
 open Adpm_scenarios
-module Pool = Adpm_parallel.Pool
 module Dpool = Adpm_parallel.Dpool
 
 let summary =
@@ -31,14 +33,19 @@ let scenarios =
 
 (* The seed lists are randomized (drawn fresh per scenario x mode cell from
    a master PRNG) so repeated CI runs sweep different corners of seed
-   space; the master seed is printed in every failure message so any
-   discrepancy is reproducible with ADPM_TEST_SEED. *)
+   space; the fixed corner (seeds 1-4) is always covered by
+   [test_fixed_seed_equivalence]. The master seed is printed in every
+   failure message so any discrepancy is reproducible with
+   ADPM_TEST_SEED. *)
 let master_seed =
   match Sys.getenv_opt "ADPM_TEST_SEED" with
   | Some s -> (try int_of_string s with _ -> 0x5eed)
   | None -> 0x5eed
 
-let test_three_backend_equivalence () =
+(* Three execution paths must agree: a plain List.map over Engine.run (the
+   reference), run_many's sequential path (jobs = 1) and the domain pool
+   (jobs 2 and 4). *)
+let test_three_path_equivalence () =
   let rng = Random.State.make [| master_seed |] in
   List.iter
     (fun scenario ->
@@ -49,33 +56,34 @@ let test_three_backend_equivalence () =
           in
           let cfg = Config.default ~mode ~seed:0 in
           let reference =
-            Engine.run_many ~backend:Engine.Inline ~jobs:1 cfg scenario ~seeds
+            List.map
+              (fun seed ->
+                (Engine.run (Config.with_seed cfg seed) scenario)
+                  .Engine.o_summary)
+              seeds
           in
           List.iter
-            (fun backend ->
-              List.iter
-                (fun jobs ->
-                  let got =
-                    Engine.run_many ~backend ~jobs cfg scenario ~seeds
-                  in
-                  List.iter2
-                    (fun want have ->
-                      Alcotest.check summary
-                        (Printf.sprintf
-                           "%s/%s backend=%s jobs=%d seed=%d \
-                            (ADPM_TEST_SEED=%d)"
-                           scenario.Scenario.sc_name (Dpm.mode_to_string mode)
-                           (Engine.backend_to_string backend)
-                           jobs want.Metrics.s_seed master_seed)
-                        want have)
-                    reference got)
-                [ 1; 2; 4 ])
-            (* Fork first: the first domain spawn permanently disables
-               Unix.fork in this process, after which the fork backend
-               (correctly) degrades to its inline fallback. *)
-            [ Engine.Fork; Engine.Domains ])
+            (fun jobs ->
+              let got = Engine.run_many ~jobs cfg scenario ~seeds in
+              List.iter2
+                (fun want have ->
+                  Alcotest.check summary
+                    (Printf.sprintf "%s/%s jobs=%d seed=%d (ADPM_TEST_SEED=%d)"
+                       scenario.Scenario.sc_name (Dpm.mode_to_string mode)
+                       jobs want.Metrics.s_seed master_seed)
+                    want have)
+                reference got)
+            [ 1; 2; 4 ])
         [ Dpm.Conventional; Dpm.Adpm ])
     scenarios
+
+let test_seed_order_preserved () =
+  let seeds = [ 9; 3; 7; 1; 5 ] in
+  let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
+  let summaries = Engine.run_many ~jobs:3 cfg Sensor.scenario ~seeds in
+  Alcotest.(check (list int))
+    "seed order preserved" seeds
+    (List.map (fun s -> s.Metrics.s_seed) summaries)
 
 let test_dpool_identity () =
   let items = [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
@@ -101,7 +109,7 @@ let test_dpool_worker_raises_lowest_index () =
     (fun jobs ->
       match Dpool.map ~jobs ~f items with
       | (_ : int list) -> Alcotest.failf "jobs=%d: expected Worker_error" jobs
-      | exception Pool.Worker_error { index; message } ->
+      | exception Dpool.Worker_error { index; message } ->
         Alcotest.(check int)
           (Printf.sprintf "jobs=%d: lowest failing index" jobs)
           3 index;
@@ -111,36 +119,16 @@ let test_dpool_worker_raises_lowest_index () =
           (contains message "worker raised" && contains message "boom 3"))
     [ 1; 2; 4; 16 ]
 
-let test_dpool_map_partial_slots () =
-  let items = List.init 10 (fun i -> i) in
-  let f i = if i mod 2 = 1 then failwith "odd" else i * 10 in
-  let results = Dpool.map_partial ~jobs:4 ~f items in
-  Alcotest.(check int) "one slot per item" 10 (List.length results);
-  List.iteri
-    (fun i r ->
-      match (r, i mod 2) with
-      | Ok v, 0 -> Alcotest.(check int) "even slot value" (i * 10) v
-      | Error msg, 1 ->
-        Alcotest.(check bool)
-          (Printf.sprintf "odd slot %d carries the failure" i)
-          true
-          (contains msg "worker raised" && contains msg "odd")
-      | Ok _, _ -> Alcotest.failf "slot %d unexpectedly succeeded" i
-      | Error msg, _ -> Alcotest.failf "slot %d unexpectedly failed: %s" i msg)
-    results
-
 let test_domains_failure_names_seed () =
-  (* A deterministically-raising build surfaces through the domain backend
-     as Failure naming the lowest failing seed, matching fork-pool
-     semantics. *)
+  (* A deterministically-raising build surfaces through the domain pool as
+     Failure naming the lowest failing seed. *)
   let broken =
     Scenario.make ~name:"broken" ~description:"always fails" (fun ~mode:_ ->
         failwith "synthetic build failure")
   in
   let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
   match
-    Engine.run_many ~backend:Engine.Domains ~jobs:2 cfg broken
-      ~seeds:[ 7; 8; 9 ]
+    Engine.run_many ~jobs:2 cfg broken ~seeds:[ 7; 8; 9 ]
   with
   | (_ : Metrics.run_summary list) -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
@@ -150,57 +138,114 @@ let test_domains_failure_names_seed () =
       "failure carries the worker message" true
       (contains msg "synthetic build failure")
 
-let test_domains_partial_isolates_bad_seeds () =
+let suite =
+  [
+    Alcotest.test_case "three-backend randomized equivalence" `Slow
+      test_three_path_equivalence;
+    Alcotest.test_case "run_many preserves seed order" `Quick
+      test_seed_order_preserved;
+    Alcotest.test_case "dpool map is order-preserving List.map" `Quick
+      test_dpool_identity;
+    Alcotest.test_case "dpool raise surfaces lowest index" `Quick
+      test_dpool_worker_raises_lowest_index;
+    Alcotest.test_case "domains run_many failure names seed" `Quick
+      test_domains_failure_names_seed;
+  ]
+
+(* {2 Fixed seeds and small-input edges} *)
+
+let test_fixed_seed_equivalence () =
+  let seeds = [ 1; 2; 3; 4 ] in
+  List.iter
+    (fun scenario ->
+      List.iter
+        (fun mode ->
+          let cfg = Config.default ~mode ~seed:0 in
+          let reference = Engine.run_many ~jobs:1 cfg scenario ~seeds in
+          List.iter
+            (fun jobs ->
+              Alcotest.(check (list summary))
+                (Printf.sprintf "%s/%s jobs=%d" scenario.Scenario.sc_name
+                   (Dpm.mode_to_string mode) jobs)
+                reference
+                (Engine.run_many ~jobs cfg scenario ~seeds))
+            [ 2; 4 ])
+        [ Dpm.Conventional; Dpm.Adpm ])
+    scenarios
+
+let test_dpool_order_many_items () =
+  (* Far more items than domains: self-scheduling hands items out in any
+     order, yet every result must land in its input slot. *)
+  let items = List.init 1000 (fun i -> (i * 7919) mod 1000) in
+  let f x = string_of_int (x * x) in
+  let expected = List.map f items in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d keeps order" jobs)
+        expected
+        (Dpool.map ~jobs ~f items))
+    [ 1; 2; 3; 8; 100 ]
+
+let test_dpool_empty_and_singleton () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d empty input" jobs)
+        []
+        (Dpool.map ~jobs ~f:(fun (_ : int) -> "x") []);
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d single item" jobs)
+        [ "42" ]
+        (Dpool.map ~jobs ~f:string_of_int [ 42 ]))
+    [ 0; 1; 4 ]
+
+let check_worker_error name expected_index f =
+  match f () with
+  | (_ : string list) -> Alcotest.failf "%s: expected Worker_error" name
+  | exception Dpool.Worker_error { index; message } ->
+    Alcotest.(check int) (name ^ ": failing index") expected_index index;
+    Alcotest.(check bool)
+      (name ^ ": message is not empty")
+      true
+      (String.length message > 0)
+
+let test_dpool_single_raise () =
+  (* Item 3 fails, every other item succeeds: the pool must still raise,
+     on both the spawning and the calling-domain-only paths. *)
+  let f x = if x = 30 then failwith "boom on 30" else string_of_int x in
+  let items = [ 0; 10; 20; 30; 40 ] in
+  check_worker_error "domains" 3 (fun () -> Dpool.map ~jobs:2 ~f items);
+  check_worker_error "sequential" 3 (fun () -> Dpool.map ~jobs:1 ~f items)
+
+let test_dpool_first_item_succeeds () =
+  (* Every even item fails but the first item does not: index 1 wins. *)
+  let f x = if x mod 2 = 0 then failwith "even" else string_of_int x in
+  check_worker_error "many failures" 1 (fun () ->
+      Dpool.map ~jobs:3 ~f [ 1; 2; 3; 4; 5; 6 ])
+
+let test_failure_names_seed_by_position () =
+  (* The reported seed is the one at the lowest failing position, not the
+     numerically smallest. *)
   let broken =
     Scenario.make ~name:"broken" ~description:"always fails" (fun ~mode:_ ->
         failwith "synthetic build failure")
   in
   let cfg = Config.default ~mode:Dpm.Adpm ~seed:0 in
-  let results =
-    Engine.run_many_partial ~backend:Engine.Domains ~jobs:2 cfg broken
-      ~seeds:[ 7; 8; 9 ]
-  in
-  Alcotest.(check int) "one slot per seed" 3 (List.length results);
-  List.iteri
-    (fun i r ->
-      match r with
-      | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "slot %d carries the failure" i)
-          true
-          (contains msg "synthetic build failure")
-      | Ok _ -> Alcotest.failf "slot %d unexpectedly succeeded" i)
-    results
-
-let test_backend_of_string () =
-  List.iter
-    (fun (s, b) ->
-      match Engine.backend_of_string s with
-      | Ok got ->
-        Alcotest.(check string) ("parses " ^ s) (Engine.backend_to_string b)
-          (Engine.backend_to_string got)
-      | Error e -> Alcotest.failf "%s failed to parse: %s" s e)
-    [ ("domains", Engine.Domains); ("fork", Engine.Fork); ("inline", Engine.Inline) ];
-  match Engine.backend_of_string "threads" with
-  | Ok _ -> Alcotest.fail "bogus backend parsed"
-  | Error e ->
+  match Engine.run_many ~jobs:3 cfg broken ~seeds:[ 9; 4; 6 ] with
+  | (_ : Metrics.run_summary list) -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
     Alcotest.(check bool)
-      "error names the bogus backend" true (contains e "threads")
+      (Printf.sprintf "error %S names seed 9" msg)
+      true
+      (contains msg "seed 9" && not (contains msg "seed 4"))
 
-let suite =
+let parallel_suite =
   [
-    Alcotest.test_case "three-backend randomized equivalence" `Slow
-      test_three_backend_equivalence;
-    Alcotest.test_case "dpool map is order-preserving List.map" `Quick
-      test_dpool_identity;
-    Alcotest.test_case "dpool raise surfaces lowest index" `Quick
-      test_dpool_worker_raises_lowest_index;
-    Alcotest.test_case "dpool map_partial isolates failing slots" `Quick
-      test_dpool_map_partial_slots;
-    Alcotest.test_case "domains run_many failure names seed" `Quick
-      test_domains_failure_names_seed;
-    Alcotest.test_case "domains run_many_partial isolates bad seeds" `Quick
-      test_domains_partial_isolates_bad_seeds;
-    Alcotest.test_case "backend_of_string round-trips" `Quick
-      test_backend_of_string;
+    ("pool identity and order", `Quick, test_dpool_order_many_items);
+    ("pool empty input", `Quick, test_dpool_empty_and_singleton);
+    ("pool worker raises", `Quick, test_dpool_single_raise);
+    ("pool lowest failing index", `Quick, test_dpool_first_item_succeeds);
+    ("parallel equals sequential", `Slow, test_fixed_seed_equivalence);
+    ("worker failure names seed", `Quick, test_failure_names_seed_by_position);
   ]

@@ -188,7 +188,7 @@ let test_generated_canonical_artifact () =
 
 let qcheck_generated_sources =
   (* 100 random parameter points: the emitted DDDL must round-trip
-     (Emit.checked raises otherwise) and the spec string must be the
+     (Printer.checked raises otherwise) and the spec string must be the
      identity on params *)
   let gen =
     QCheck.Gen.(

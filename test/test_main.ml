@@ -11,11 +11,11 @@ let () =
       ("sim", Test_sim.suite);
       ("teamsim", Test_teamsim.suite);
       ("des", Test_des.suite);
-      ("parallel", Test_parallel.suite);
-      (* forks inside: must run before the "domains" suite spawns (the
-         PR 7 fork latch) *)
+      (* forks inside: must run before the "domains" suite spawns (OCaml 5
+         forbids Unix.fork once a domain has been spawned) *)
       ("serve-wire", Test_serve.wire_suite);
       ("domains", Test_domains.suite);
+      ("parallel", Test_domains.parallel_suite);
       ("fault", Test_fault.suite);
       ("check", Test_check.suite);
       ("trace", Test_trace.suite);
