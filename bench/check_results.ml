@@ -1,7 +1,7 @@
 (* Bench-smoke gate: fail loudly (nonzero exit) if BENCH_results.json is
    missing, unparseable, or lacks a finite positive incremental_speedup or
    domains_speedup — so a refactor that silently stops producing the
-   incremental-vs-full or domains-vs-sequential comparison breaks @check
+   incremental-vs-oracle or domains-vs-sequential comparison breaks @check
    instead of shipping an empty benchmark.
 
    The domains gate: the field must always be a finite positive ratio and
@@ -45,6 +45,20 @@ let () =
       | Some s -> s)
   in
   let incremental = speedup "incremental_speedup" in
+  (* incremental.outcomes_agree is false when, after some DCM propagation,
+     the from-scratch oracle's feasible subspaces or statuses differed from
+     the ones the incremental path applied — a soundness failure, never
+     noise. A missing field means the comparison silently stopped running. *)
+  (match
+     Option.bind (Json.member "incremental" json) (fun incr ->
+         Option.bind (Json.member "outcomes_agree" incr) Json.to_bool)
+   with
+  | Some true -> ()
+  | Some false ->
+    die
+      "incremental.outcomes_agree is false: the incremental DCM propagation \
+       diverged from the from-scratch oracle"
+  | None -> die "%s lacks the incremental.outcomes_agree field" file);
   (* The DCM hot path must stay allocation-free: the HC4 kernel and the
      fixpoint worklist allocate nothing per revision, so the minor words a
      from-scratch Propagate.run on sensor and receiver allocates per HC4

@@ -244,7 +244,7 @@ let () =
   section "Generator throughput: canonical DDDL pipeline builds";
   let gen_rate = timed "gen_throughput" (fun () -> gen_scenarios_per_s ()) in
 
-  section "Incremental DCM: full vs dirty-seeded HC4 (receiver, Fig. 9 case)";
+  section "Incremental DCM vs the from-scratch oracle (receiver, Fig. 9 case)";
   let incr =
     timed "incremental" (fun () ->
         Incremental.run ~seeds:(if fast then 3 else 10) ())

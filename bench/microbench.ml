@@ -46,18 +46,18 @@ let propagate_test name build =
   Test.make ~name (Staged.stage (fun () -> Propagate.run net))
 
 (* Steady-state repropagation: one assignment perturbs the network, then
-   the DCM re-establishes the fixpoint. The incremental engine restarts
-   from the persisted box store seeded with the dirty property's
-   constraints; the full engine recomputes from the initial domains. *)
-let repropagate_test name engine =
+   [repropagate] re-establishes the fixpoint. The DCM's incremental path
+   restarts from the persisted box store seeded with the dirty property's
+   constraints; the from-scratch [Propagate.run] oracle recomputes from the
+   initial domains. *)
+let repropagate_test name repropagate =
   let dpm = Receiver.build () ~mode:Dpm.Adpm in
-  Dpm.set_engine dpm engine;
   ignore (Dpm.run_propagation dpm);
   let net = Dpm.network dpm in
   Test.make ~name
     (Staged.stage (fun () ->
          Network.assign net "diff-pair-w" (Value.Num 5.);
-         Dpm.run_propagation dpm))
+         repropagate dpm net))
 
 let simulation_test name scenario mode =
   let cfg = Config.default ~mode ~seed:7 in
@@ -81,9 +81,10 @@ let tests =
         (fun () -> Sensor.build ());
       propagate_test "propagate fixpoint (receiver, 30 constraints)"
         (fun () -> Receiver.build ());
-      repropagate_test "repropagate after 1 assign (receiver, full)" Dpm.Full;
+      repropagate_test "repropagate after 1 assign (receiver, full)"
+        (fun _ net -> Propagate.apply net (Propagate.run net));
       repropagate_test "repropagate after 1 assign (receiver, incremental)"
-        Dpm.Incremental;
+        (fun dpm _ -> ignore (Dpm.run_propagation dpm));
       simulation_test "full simulation (sensor, ADPM)" Sensor.scenario Dpm.Adpm;
       simulation_test "full simulation (sensor, conventional)" Sensor.scenario
         Dpm.Conventional;

@@ -95,14 +95,3 @@ let trace_pushed tracer ~op_index notifications =
                violations = detected_violations n;
              }))
       notifications
-
-let event_to_string cname = function
-  | Violation_detected cid -> Printf.sprintf "violation detected: %s" (cname cid)
-  | Violation_resolved cid -> Printf.sprintf "violation resolved: %s" (cname cid)
-  | Feasible_reduced (prop, d) ->
-    Printf.sprintf "feasible subspace of %s reduced to %s" prop
-      (Domain.to_string d)
-  | Feasible_empty prop ->
-    Printf.sprintf "all values of %s are infeasible" prop
-  | Problem_update (pid, status) ->
-    Printf.sprintf "problem #%d is now %s" pid (Problem.status_to_string status)

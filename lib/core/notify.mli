@@ -67,6 +67,3 @@ val trace_pushed :
     an inactive tracer) — the NM's side of the observability contract.
     [op_index] is the history index of the operation that raised them,
     pairing each push with its later delivery / drop fate. *)
-
-val event_to_string : (int -> string) -> event -> string
-(** Render an event; the function maps constraint ids to names. *)

@@ -149,10 +149,6 @@ let set_feasible t name d =
   (find_prop t name).p_feasible <- d;
   bump t
 
-let reset_feasible t =
-  Hashtbl.iter (fun _ p -> p.p_feasible <- p.p_initial) t.props;
-  bump t
-
 let assign t name value =
   let p = find_prop t name in
   (match (value, p.p_initial) with
@@ -374,7 +370,3 @@ let reset_assignments t =
   invalidate_prop_state t;
   clear_dirty t;
   bump t
-
-let pp_summary ppf t =
-  Format.fprintf ppf "network: %d properties, %d constraints, %d violated"
-    (Hashtbl.length t.props) (constraint_count t) (List.length (violated t))

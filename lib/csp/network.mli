@@ -88,8 +88,6 @@ val prop_id : t -> string -> int
 val initial_domain : t -> string -> Domain.t
 val feasible : t -> string -> Domain.t
 val set_feasible : t -> string -> Domain.t -> unit
-val reset_feasible : t -> unit
-(** Restore every feasible subspace to the initial range. *)
 
 val assign : t -> string -> Value.t -> unit
 (** Bind a property. Numeric assignments must be numeric-domain properties
@@ -199,5 +197,3 @@ val solved : t -> bool
     assignment — the simulation termination condition of Section 3.1.2. *)
 
 val reset_assignments : t -> unit
-
-val pp_summary : Format.formatter -> t -> unit

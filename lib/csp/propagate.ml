@@ -19,16 +19,13 @@ type store = { lo : float array; hi : float array; mask : bool array }
 let store_box st pid = Interval.make st.lo.(pid) st.hi.(pid)
 
 (* [narrowed] is always a sub-interval of [old_iv] (HC4 intersects with the
-   input box); requeue only when the shrink is significant. When both widths
-   are infinite their difference says nothing ([inf < inf] is false even
-   when a bound genuinely moved, e.g. [-inf,+inf] -> [0,+inf]), so compare
-   the bounds directly. *)
-let[@inline] significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi =
+   input box); requeue only when the width shrank. When both widths are
+   infinite their difference says nothing ([inf < inf] is false even when a
+   bound genuinely moved, e.g. [-inf,+inf] -> [0,+inf]), so compare the
+   bounds directly. *)
+let[@inline] narrower_f ~olo ~ohi ~nlo ~nhi =
   let old_w = ohi -. olo and new_w = nhi -. nlo in
-  if Float.is_finite old_w then
-    (* [Float.max 1. old_w] for a non-NaN [old_w], without its sign-bit
-       calls *)
-    new_w < old_w && old_w -. new_w > eps *. if old_w > 1. then old_w else 1.
+  if Float.is_finite old_w then new_w < old_w
   else if Float.is_finite new_w then true
   else nlo > olo || nhi < ohi
 
@@ -83,7 +80,7 @@ let copy_store st =
    constraint is queued at most once, so [n_con] slots suffice), and a
    revision is one [Hc4.revise_kernel] call against the float store
    followed by an in-place gate over the kernel's accumulator slots. *)
-let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
+let fixpoint ~max_revisions ?empty_marks ?waves ?seed net st =
   let kernels = Network.kernels net in
   let adj = Network.adjacency_by_id net in
   let n_con = Array.length kernels in
@@ -144,16 +141,14 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
         let pid = kv.(j) in
         let olo = st.lo.(pid) and ohi = st.hi.(pid) in
         let nlo = acc_lo.(j) and nhi = acc_hi.(j) in
-        (* Sub-eps narrowings are discarded, not just left unqueued:
-           applying them would make the final box depend on the revision
-           trajectory, and the incremental engine restarts from the
-           stored fixpoint along a different trajectory than a
-           from-scratch run. Discarding keeps the stored boxes an exact
-           fixpoint of this gated contraction, so both engines converge
-           to bit-identical results. *)
-        if
-          (not (olo = nlo && ohi = nhi))
-          && significantly_narrower_f ~eps ~olo ~ohi ~nlo ~nhi
+        (* A bound move that leaves the width unchanged is discarded, not
+           just left unqueued: applying it would make the final box depend
+           on the revision trajectory, and the incremental engine restarts
+           from the stored fixpoint along a different trajectory than a
+           from-scratch run. Discarding leaves the stored boxes an exact
+           fixpoint of this gated contraction, so both converge to
+           bit-identical results. *)
+        if (not (olo = nlo && ohi = nhi)) && narrower_f ~olo ~ohi ~nlo ~nhi
         then begin
           st.lo.(pid) <- nlo;
           st.hi.(pid) <- nhi;
@@ -181,13 +176,13 @@ let fixpoint ?(eps = 0.) ~max_revisions ?empty_marks ?waves ?seed net st =
    variable's box infeasible by running the fixpoint on a copy; on success
    the bound moves inward. Each probe's revisions are charged to the
    caller's counter. *)
-let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
+let shave_bounds ~max_revisions ~slices net st evaluations =
   let probe pid slice =
     let cp = copy_store st in
     cp.lo.(pid) <- Interval.lo slice;
     cp.hi.(pid) <- Interval.hi slice;
     let evals, infeasible, _ =
-      fixpoint ~eps ~max_revisions:(max_revisions / 4) net cp
+      fixpoint ~max_revisions:(max_revisions / 4) net cp
     in
     evaluations := !evaluations + evals;
     infeasible
@@ -197,7 +192,7 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
     let attempt side =
       let iv = store_box st pid in
       let w = Interval.width iv in
-      if Float.is_finite w && w > eps then begin
+      if Float.is_finite w && w > 0. then begin
         let step = w /. float_of_int slices in
         let lo = Interval.lo iv and hi = Interval.hi iv in
         let slice, rest =
@@ -225,7 +220,7 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
   in
   (* one shaving sweep per variable, repeated while it makes progress and
      the budget allows; bounded to avoid slow convergence *)
-  let rec sweeps remaining =
+  let rec shave_rounds remaining =
     if remaining = 0 || !evaluations >= max_revisions then ()
     else begin
       let progress =
@@ -237,13 +232,13 @@ let shave_bounds ~eps ~max_revisions ~slices net st evaluations =
       in
       if progress then begin
         (* re-contract with plain propagation after successful shaves *)
-        let evals, _, _ = fixpoint ~eps ~max_revisions net st in
+        let evals, _, _ = fixpoint ~max_revisions net st in
         evaluations := !evaluations + evals;
-        sweeps (remaining - 1)
+        shave_rounds (remaining - 1)
       end
     end
   in
-  sweeps 3
+  shave_rounds 3
 
 (* The feasible subspace of property [p] on the store: its initial range
    refined by its contracted box. *)
@@ -263,7 +258,7 @@ let boxes_valid st k =
   done;
   !ok
 
-(* The final classification sweep shared by both engines: status of every
+(* The final classification sweep shared by both paths: status of every
    constraint on the contracted box (one evaluation each, a forward pass of
    its kernel) plus the feasible subspace of every numeric property, both
    in id order. *)
@@ -297,7 +292,7 @@ let classify net st empty_marks revisions =
 (* [base_revisions] charges work done before this run to its counters: a
    full restart that replaces an aborted incremental attempt inherits the
    attempt's revisions, so reported costs reflect all HC4 work performed. *)
-let run_core ~eps ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
+let run_core ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
     ~seed ?(base_revisions = 0) net =
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -309,14 +304,14 @@ let run_core ~eps ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
   in
   let waves = ref [] in
   let evals, _, budget_hit =
-    fixpoint ~eps ~max_revisions ~empty_marks ~waves ?seed net st
+    fixpoint ~max_revisions ~empty_marks ~waves ?seed net st
   in
   let revisions = ref (base_revisions + evals) in
   (match consistency with
   | `Hull -> ()
   | `Shave slices ->
     if slices < 2 then invalid_arg "Propagate.run: shaving needs >= 2 slices";
-    shave_bounds ~eps ~max_revisions ~slices net st revisions);
+    shave_bounds ~max_revisions ~slices net st revisions);
   let statuses, feasible, evaluations = classify net st empty_marks !revisions in
   if Tracer.active tracer then
     Tracer.emit tracer
@@ -332,14 +327,12 @@ let run_core ~eps ~max_revisions ~consistency ~tracer ~engine ~st ~empty_marks
          });
   { feasible; statuses; evaluations; revisions = !revisions; fixpoint = not budget_hit }
 
-let run ?(eps = 0.) ?(max_revisions = 10_000) ?(consistency = `Hull)
-    ?(tracer = Tracer.null) net =
-  run_core ~eps ~max_revisions ~consistency ~tracer ~engine:"full"
+let run ?(max_revisions = 10_000) ?(consistency = `Hull) ?(tracer = Tracer.null)
+    net =
+  run_core ~max_revisions ~consistency ~tracer ~engine:"full"
     ~st:(initial_store net)
     ~empty_marks:(Hashtbl.create 8)
     ~seed:None net
-
-let run_full = run
 
 (* Constraints touching any dirty property, first-seen order, deduplicated. *)
 let dirty_seed net dirty =
@@ -360,8 +353,7 @@ let dirty_seed net dirty =
   in
   List.rev acc
 
-let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
-    ?(tracer = Tracer.null) net =
+let run_incremental ?(max_revisions = 10_000) ?(tracer = Tracer.null) net =
   let persist st empty_marks outcome =
     Network.store_prop_state net
       {
@@ -377,7 +369,7 @@ let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
     let st = initial_store net in
     let empty_marks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
     persist st empty_marks
-      (run_core ~eps ~max_revisions ~consistency:`Hull ~tracer ~engine:"full"
+      (run_core ~max_revisions ~consistency:`Hull ~tracer ~engine:"full"
          ~st ~empty_marks ~seed:None ~base_revisions net)
   in
   match Network.prop_state net with
@@ -441,7 +433,7 @@ let run_incremental ?(eps = 0.) ?(max_revisions = 10_000)
         dirty;
       let empty_marks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
       let outcome =
-        run_core ~eps ~max_revisions ~consistency:`Hull ~tracer
+        run_core ~max_revisions ~consistency:`Hull ~tracer
           ~engine:"incremental" ~st ~empty_marks
           ~seed:(Some (dirty_seed net dirty))
           net
@@ -458,13 +450,8 @@ let apply net outcome =
   List.iter (fun (name, d) -> Network.set_feasible net name d) outcome.feasible;
   List.iter (fun (id, s) -> Network.set_status net id s) outcome.statuses
 
-let run_and_apply ?eps ?max_revisions ?consistency ?tracer net =
-  let outcome = run ?eps ?max_revisions ?consistency ?tracer net in
-  apply net outcome;
-  outcome
-
-let run_incremental_and_apply ?eps ?max_revisions ?tracer net =
-  let outcome = run_incremental ?eps ?max_revisions ?tracer net in
+let run_incremental_and_apply ?max_revisions ?tracer net =
+  let outcome = run_incremental ?max_revisions ?tracer net in
   apply net outcome;
   outcome
 
@@ -473,13 +460,12 @@ let run_incremental_and_apply ?eps ?max_revisions ?tracer net =
    runs, the network is not copied, and only the target's feasible subspace
    is read off. The evaluation charge stays that of a full run: the
    revisions plus one status evaluation per constraint. *)
-let relaxed_feasible_group ?(eps = 0.) ?(max_revisions = 10_000) net ~target
-    ~unpin =
+let relaxed_feasible_group ?(max_revisions = 10_000) net ~target ~unpin =
   let freed = List.map (Network.find_prop net) (target :: unpin) in
   let st = initial_store net in
   List.iter (fun p -> if is_numeric p then load_prop st p ~pinned:false) freed;
-  let revisions, _, _ = fixpoint ~eps ~max_revisions net st in
+  let revisions, _, _ = fixpoint ~max_revisions net st in
   (feasible_of st (List.hd freed), revisions + Network.constraint_count net)
 
-let relaxed_feasible ?eps ?max_revisions net name =
-  relaxed_feasible_group ?eps ?max_revisions net ~target:name ~unpin:[]
+let relaxed_feasible ?max_revisions net name =
+  relaxed_feasible_group ?max_revisions net ~target:name ~unpin:[]

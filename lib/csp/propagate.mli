@@ -36,7 +36,6 @@ type outcome = {
 }
 
 val run :
-  ?eps:float ->
   ?max_revisions:int ->
   ?consistency:[ `Hull | `Shave of int ] ->
   ?tracer:Adpm_trace.Tracer.t ->
@@ -44,13 +43,14 @@ val run :
   outcome
 (** Pure with respect to the network: reads assignments and initial domains,
     writes nothing. [max_revisions] (default 10_000) bounds non-terminating
-    slow convergence; [eps] is the relative narrowing threshold below which
-    a projection is discarded — neither applied nor requeued (default 0:
-    HC4's built-in magnitude-relative projection slack already quantises
-    narrowings and guarantees termination, and a zero threshold keeps the
-    gated revision operator monotone, which makes the fixpoint independent
-    of revision order — the property the incremental engine's bit-identical
-    equivalence with from-scratch runs rests on).
+    slow convergence. A projection is applied and requeued only when it
+    makes a box strictly narrower: HC4's built-in magnitude-relative
+    projection slack already quantises narrowings and guarantees
+    termination, and the strict gate leaves the revision operator monotone,
+    which makes the fixpoint independent of revision order — the property
+    the incremental path's bit-identical equivalence with from-scratch runs
+    rests on. This from-scratch run is the reference the incremental path
+    is checked against.
     [consistency] defaults to [`Hull]; [`Shave n] additionally shaves each
     unbound variable's bounds in [1/n]-width slices (n >= 2).
 
@@ -59,19 +59,7 @@ val run :
     carries per-wave revision counts of the primary HC4 fixpoint (shaving
     probes are charged to the evaluation total but not waved). *)
 
-val run_full :
-  ?eps:float ->
-  ?max_revisions:int ->
-  ?consistency:[ `Hull | `Shave of int ] ->
-  ?tracer:Adpm_trace.Tracer.t ->
-  Network.t ->
-  outcome
-(** Alias of {!run}: from-scratch propagation seeding the worklist with
-    every constraint. The reference point the incremental engine is checked
-    against. *)
-
 val run_incremental :
-  ?eps:float ->
   ?max_revisions:int ->
   ?tracer:Adpm_trace.Tracer.t ->
   Network.t ->
@@ -98,30 +86,21 @@ val run_incremental :
     cleared; feasible subspaces and statuses are {e not} applied (see
     {!apply}).
 
-    The [evaluations] total still charges one unit per HC4 revision plus
-    the full status sweep, so the paper's cost model is per-engine;
-    [revisions] is where the saving shows. *)
+    The [evaluations] total charges one unit per HC4 revision plus the
+    full status sweep, so N_T counts the revisions this path actually
+    performs; [revisions] is where the saving over {!run} shows. This is
+    the DCM's propagation ({!Adpm_core.Dpm.run_propagation}). *)
 
 val apply : Network.t -> outcome -> unit
 (** Store feasible subspaces and statuses into the network. *)
 
-val run_and_apply :
-  ?eps:float ->
-  ?max_revisions:int ->
-  ?consistency:[ `Hull | `Shave of int ] ->
-  ?tracer:Adpm_trace.Tracer.t ->
-  Network.t ->
-  outcome
-
 val run_incremental_and_apply :
-  ?eps:float ->
   ?max_revisions:int ->
   ?tracer:Adpm_trace.Tracer.t ->
   Network.t ->
   outcome
 
-val relaxed_feasible :
-  ?eps:float -> ?max_revisions:int -> Network.t -> string -> Domain.t * int
+val relaxed_feasible : ?max_revisions:int -> Network.t -> string -> Domain.t * int
 (** [relaxed_feasible net p]: the feasible subspace of [p] computed with
     [p]'s own assignment ignored (all other assignments kept) — the
     "constraint margin" trade-off information the browser of Fig. 2 shows
@@ -129,7 +108,6 @@ val relaxed_feasible :
     domain and the number of constraint evaluations spent. *)
 
 val relaxed_feasible_group :
-  ?eps:float ->
   ?max_revisions:int ->
   Network.t ->
   target:string ->

@@ -62,7 +62,7 @@ type t = {
   reply_cache : (string, (string * Json.t) list ref) Hashtbl.t;
   cache_order : string Queue.t;  (* client tokens, first-seen order *)
   mutable recovered : (string * int) list;
-  mutable warnings : string list;
+  warnings : string Queue.t;  (* the newest [max_warnings], oldest first *)
   mutable next_session : int;
   mutable stopping : bool;
 }
@@ -119,7 +119,18 @@ let cache_store t ~client ~key resp =
 
 (* {2 Journal recovery} *)
 
-let warn t fmt = Printf.ksprintf (fun m -> t.warnings <- t.warnings @ [ m ]) fmt
+let max_warnings = 256
+
+(* Shown on stderr when raised (a compaction failure can surface long
+   after startup) and kept for {!warnings} in a bounded ring. *)
+let warn t fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("teamsimd: warning: " ^ m);
+      Queue.add m t.warnings;
+      if Queue.length t.warnings > max_warnings then
+        ignore (Queue.take t.warnings : string))
+    fmt
 
 let exec_reply ?id s result =
   match result with
@@ -274,7 +285,7 @@ let create cfg =
       reply_cache = Hashtbl.create 64;
       cache_order = Queue.create ();
       recovered = [];
-      warnings = [];
+      warnings = Queue.create ();
       next_session = 0;
       stopping = false;
     }
@@ -290,7 +301,7 @@ let create cfg =
 let session_count t = Hashtbl.length t.sessions
 let find_session t id = Hashtbl.find_opt t.sessions id
 let recovered_sessions t = t.recovered
-let warnings t = t.warnings
+let warnings t = List.of_seq (Queue.to_seq t.warnings)
 
 let fresh_session_id t =
   t.next_session <- t.next_session + 1;

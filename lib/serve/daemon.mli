@@ -122,4 +122,6 @@ val recovered_sessions : t -> (string * int) list
 
 val warnings : t -> string list
 (** Human-readable reports of journal damage absorbed during recovery
-    (quarantined files, dropped tail entries). *)
+    (quarantined files, dropped tail entries) and of later journal
+    failures (compaction), oldest first. Each is also written to stderr as
+    [teamsimd: warning: <msg>] when raised; only the newest 256 are kept. *)

@@ -53,16 +53,14 @@ let run ~resolve events =
     | Some m -> m
     | None -> fail "trace references unknown mode %S" mode_name
   in
-  let engine =
-    match Dpm.engine_of_string engine_name with
-    | Some e -> e
-    | None -> fail "trace references unknown engine %S" engine_name
-  in
+  (* N_T counts the HC4 revisions the recording's propagation path
+     performed, which only the incremental path reproduces (a legacy header
+     without the field decodes as "full") *)
+  if not (String.equal engine_name "incremental") then
+    fail "trace was recorded with propagation engine %S; only \"incremental\" \
+          can be replayed"
+      engine_name;
   let dpm = scenario.Scenario.sc_build ~mode in
-  (* per-engine evaluation totals differ (the incremental engine performs
-     fewer HC4 revisions), so replay must run the same engine the trace was
-     recorded with to reproduce N_T *)
-  Dpm.set_engine dpm engine;
   (* the engine's pre-turn propagation (its cost is recorded separately in
      the run_finished event, so it is checked, not merged into N_T) *)
   let setup_evals =
@@ -174,7 +172,7 @@ let run ~resolve events =
       | Event.Notification_delivered _
       | Event.Notification_dropped _ | Event.Notification_duplicated _
       | Event.Designer_crashed _ | Event.Designer_restarted _
-      | Event.Pool_retry _ | Event.Designer_decision _ ->
+      | Event.Designer_decision _ ->
         ())
     events;
   {

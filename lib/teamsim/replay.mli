@@ -37,7 +37,10 @@ val converged : report -> bool
 
 exception Replay_error of string
 (** The trace cannot be replayed at all: no [Run_started] event, or it
-    names a scenario / mode unknown to this binary. *)
+    names a scenario / mode unknown to this binary, or a propagation engine
+    other than ["incremental"] (including legacy headers without the field,
+    which decode as ["full"]): N_T counts the revisions of the recording's
+    propagation path, which only the incremental path reproduces. *)
 
 val run : resolve:(string -> Scenario.t) -> Event.stamped list -> report
 (** Replay a single-run trace, resolving the recorded scenario name

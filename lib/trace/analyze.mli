@@ -55,7 +55,6 @@ type report = {
   r_crashes : int;  (** [Designer_crashed] events *)
   r_restarts : int;  (** [Designer_restarted] events *)
   r_shifts : int;  (** [Requirement_shifted] events *)
-  r_pool_retries : int;  (** [Pool_retry] supervision events *)
 }
 
 val analyze : Event.stamped list -> report

@@ -59,9 +59,10 @@ type t =
       mode : string;
       seed : int;
       engine : string;
-          (** propagation engine the run was configured with ("full" or
-              "incremental"); replay re-selects the same engine so N_T
-              totals match *)
+          (** the DCM propagation path, always ["incremental"]; replay
+              refuses any other value (legacy traces decode it as
+              ["full"]), because N_T counts the revisions the recording's
+              path performed, which only this path reproduces *)
     }
   | Op_submitted of { op : op_spec; choose_evaluations : int }
       (** Emitted by the engine just before the DPM executes the operation.
@@ -83,13 +84,13 @@ type t =
       engine : string;
           (** how this propagation's worklist was seeded: ["full"] (every
               constraint) or ["incremental"] (constraints of dirty
-              properties only); an incremental engine falling back to a
+              properties only); incremental propagation falling back to a
               from-scratch run reports ["full"] *)
       seeded : int;  (** constraints in the initial worklist *)
       evaluations : int;
       revisions : int;
           (** HC4 revisions performed (the evaluation total minus the final
-              status sweep) — the work the incremental engine saves *)
+              status sweep) — the work incremental propagation saves *)
       waves : int list;
       empties : int;
       fixpoint : bool;
@@ -160,16 +161,6 @@ type t =
           requirement property [prop] was re-assigned to [value] through
           the DPM (the adaptability workload). Replay re-applies it so
           later operations see the moved requirement. *)
-  | Pool_retry of {
-      index : int;
-      attempt : int;
-      reason : string;
-      requeued : int;
-    }
-      (** A pool worker crashed, hung, or garbled its stream; the
-          supervisor charged work item [index] with failed [attempt]
-          number and requeued [requeued] items to a fresh worker. Host
-          wall-clock, not virtual time. *)
   | Run_finished of {
       completed : bool;
       operations : int;

@@ -1,13 +1,14 @@
-(* Randomized equivalence of the incremental and full propagation engines.
+(* Randomized equivalence of incremental propagation (the DCM's one path)
+   and the from-scratch [Propagate.run] oracle.
 
-   The incremental engine restarts HC4 from the box store persisted by the
+   Incremental propagation restarts HC4 from the box store persisted by the
    previous fixpoint, seeding the worklist with only the dirty properties'
    constraints; the soundness argument (see DESIGN.md) says the result must
    be *identical* — not approximately equal — to a from-scratch run. This
-   suite drives both engines through the same randomized assign/unassign
-   sequences over the bundled scenario networks (including the generated
-   family) and asserts bit-identical feasible subspaces, constraint
-   statuses, and violation sets after every step. *)
+   suite drives both through the same randomized assign/unassign sequences
+   over the bundled scenario networks (including the generated family) and
+   asserts bit-identical feasible subspaces, constraint statuses, and
+   violation sets after every step. *)
 
 open Adpm_util
 open Adpm_interval
@@ -75,12 +76,12 @@ let drive scenario seed steps () =
   let net_full = build scenario and net_incr = build scenario in
   let rng = Rng.create seed in
   let props = assignable_props net_full in
-  ignore (Propagate.run_and_apply net_full);
+  Propagate.apply net_full (Propagate.run net_full);
   ignore (Propagate.run_incremental_and_apply net_incr);
   check_networks_equal "setup" net_full net_incr;
   for step = 1 to steps do
     random_op rng props net_full net_incr;
-    ignore (Propagate.run_and_apply net_full);
+    Propagate.apply net_full (Propagate.run net_full);
     ignore (Propagate.run_incremental_and_apply net_incr);
     check_networks_equal (Printf.sprintf "step %d" step) net_full net_incr
   done

@@ -607,6 +607,28 @@ let test_journal_corrupt_header () =
           Alcotest.(check bool) "journal quarantined" true
             (Sys.file_exists (p ^ ".corrupt"))))
 
+(* Warnings are a bounded ring: 300 damaged journals (scanned in name
+   order, one warning each) leave exactly the newest 256, oldest first. *)
+let test_warnings_bounded () =
+  with_dir (fun dir ->
+      let jdir = Filename.concat dir "journal" in
+      Unix.mkdir jdir 0o755;
+      for i = 1 to 300 do
+        Out_channel.with_open_text
+          (Filename.concat jdir (Printf.sprintf "s%03d.journal.jsonl" i))
+          (fun oc -> output_string oc "not a json header\n")
+      done;
+      let d = Daemon.create (journal_config ~dir ()) in
+      Fun.protect
+        ~finally:(fun () -> Daemon.stop d)
+        (fun () ->
+          let ws = Daemon.warnings d in
+          Alcotest.(check int) "only the newest 256 kept" 256 (List.length ws);
+          Alcotest.(check bool) "oldest retained is s045" true
+            (contains (List.hd ws) "s045.journal.jsonl");
+          Alcotest.(check bool) "newest is retained, last" true
+            (contains (List.nth ws 255) "s300.journal.jsonl")))
+
 (* An entry whose fingerprint diverges from the replayed state marks the
    end of the trustworthy tail: replay stops there, earlier state stands. *)
 let test_journal_fingerprint_gate () =
@@ -1031,6 +1053,7 @@ let suite =
     ("journal auto-resume", `Quick, test_journal_autoresume);
     ("journal drops a torn tail", `Quick, test_journal_torn_tail);
     ("corrupt journal header quarantined", `Quick, test_journal_corrupt_header);
+    ("warnings keep the newest 256", `Quick, test_warnings_bounded);
     ("journal fingerprint gate", `Quick, test_journal_fingerprint_gate);
     ("journal auto-compaction", `Quick, test_journal_compaction);
     ("journal dir lockfile", `Quick, test_journal_lockfile);

@@ -356,6 +356,8 @@ let test_codec_rejects_malformed () =
     [
       "{}";
       {|{"seq":0,"clock":0,"type":"no_such_event"}|};
+      (* the retired worker-pool retry event is an unknown type now *)
+      {|{"seq":0,"clock":0,"type":"pool_retry","index":0,"attempt":1,"reason":"crash","requeued":1}|};
       {|{"seq":0,"clock":0,"type":"run_started","scenario":"x","mode":"ADPM"}|};
       "[1,2,3]";
     ]
@@ -580,6 +582,60 @@ let test_replay_rejects_unusable_traces () =
   | exception Replay.Replay_error _ -> ()
   | _ -> Alcotest.fail "unknown scenario must raise"
 
+(* Only the incremental propagation path exists, and N_T counts the
+   revisions the recording's path performed, so replay refuses a trace
+   recorded with the from-scratch engine, and a legacy header without the
+   engine field (which decodes as "full") too. A default-configuration
+   run's trace, encoded line by line as [run --trace] writes it, still
+   replays to convergence. *)
+let test_replay_refuses_other_engines () =
+  let buffer, sink = Sink.memory ~capacity:100_000 in
+  let tracer = Tracer.create sink in
+  ignore (Engine.run ~tracer (Config.default ~mode:Dpm.Adpm ~seed:1) Sensor.scenario);
+  Tracer.close tracer;
+  let decode line =
+    match Codec.of_line line with Ok s -> s | Error e -> Alcotest.failf "decode: %s" e
+  in
+  let events =
+    List.map (fun s -> decode (Codec.to_line s)) (Sink.Ring.contents buffer)
+  in
+  let resolve = Scenario.resolver replay_scenarios in
+  let report = Replay.run ~resolve events in
+  if not (Replay.converged report) then
+    Alcotest.failf "default trace diverged:\n%s" (Replay.render report);
+  let with_header f =
+    match events with
+    | header :: rest -> decode (Json.to_string (f (Codec.to_json header))) :: rest
+    | [] -> Alcotest.fail "empty trace"
+  in
+  let map_fields f = function
+    | Json.Obj fields -> Json.Obj (f fields)
+    | j -> Alcotest.failf "header is not an object: %s" (Json.to_string j)
+  in
+  let full =
+    with_header
+      (map_fields
+         (List.map (function
+           | "engine", _ -> ("engine", Json.Str "full")
+           | kv -> kv)))
+  in
+  let legacy =
+    with_header (map_fields (List.filter (fun (k, _) -> k <> "engine")))
+  in
+  (match legacy with
+  | { Event.event = Event.Run_started { engine; _ }; _ } :: _ ->
+    Alcotest.(check string) "legacy header decodes as full" "full" engine
+  | _ -> Alcotest.fail "first event must be run_started");
+  List.iter
+    (fun (label, trace) ->
+      match Replay.run ~resolve trace with
+      | exception Replay.Replay_error msg ->
+        Alcotest.(check bool)
+          (label ^ ": error names the engine") true
+          (contains ~sub:"\"full\"" msg)
+      | _ -> Alcotest.failf "%s: replay must refuse" label)
+    [ ("engine full", full); ("no engine field", legacy) ]
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -609,4 +665,6 @@ let suite =
       test_replay_detects_tampering;
     Alcotest.test_case "replay rejects unusable traces" `Quick
       test_replay_rejects_unusable_traces;
+    Alcotest.test_case "replay refuses other propagation engines" `Quick
+      test_replay_refuses_other_engines;
   ]
