@@ -40,9 +40,8 @@ let hc4_kernel_test =
   Test.make ~name:kernel_test_name
     (Staged.stage (fun () -> Hc4.revise_kernel k ~lo ~hi))
 
-let propagate_test name build =
-  let dpm = build () ~mode:Dpm.Adpm in
-  let net = Dpm.network dpm in
+let propagate_test name scenario =
+  let net = Dpm.network (scenario.Scenario.sc_build ~mode:Dpm.Adpm) in
   Test.make ~name (Staged.stage (fun () -> Propagate.run net))
 
 (* Steady-state repropagation: one assignment perturbs the network, then
@@ -51,7 +50,7 @@ let propagate_test name build =
    constraints; the from-scratch [Propagate.run] oracle recomputes from the
    initial domains. *)
 let repropagate_test name repropagate =
-  let dpm = Receiver.build () ~mode:Dpm.Adpm in
+  let dpm = Receiver.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   ignore (Dpm.run_propagation dpm);
   let net = Dpm.network dpm in
   Test.make ~name
@@ -78,9 +77,9 @@ let tests =
       interval_mul_test;
       hc4_kernel_test;
       propagate_test "propagate fixpoint (sensor, 21 constraints)"
-        (fun () -> Sensor.build ());
+        Sensor.scenario;
       propagate_test "propagate fixpoint (receiver, 30 constraints)"
-        (fun () -> Receiver.build ());
+        Receiver.scenario;
       repropagate_test "repropagate after 1 assign (receiver, full)"
         (fun _ net -> Propagate.apply net (Propagate.run net));
       repropagate_test "repropagate after 1 assign (receiver, incremental)"
@@ -97,10 +96,9 @@ let tests =
    included: a deterministic count. *)
 let fixpoint_words_per_rev () =
   let nets =
-    [
-      Dpm.network (Sensor.build () ~mode:Dpm.Adpm);
-      Dpm.network (Receiver.build () ~mode:Dpm.Adpm);
-    ]
+    List.map
+      (fun s -> Dpm.network (s.Scenario.sc_build ~mode:Dpm.Adpm))
+      [ Sensor.scenario; Receiver.scenario ]
   in
   List.iter (fun net -> ignore (Propagate.run net : Propagate.outcome)) nets;
   let w0 = Gc.minor_words () in

@@ -29,9 +29,11 @@ let () =
   List.iter
     (fun req_gain ->
       let scenario =
-        Scenario.make ~name:"receiver" ~description:""
-          ~models:Receiver.scenario.Scenario.sc_models (fun ~mode ->
-            Receiver.build ~req_gain () ~mode)
+        Adpm_dddl.(
+          Elaborate.scenario
+            (Elaborate.override_requirements
+               [ ("req-gain", req_gain) ]
+               (Parser.parse Receiver.source)))
       in
       let mean mode =
         let cfg = Config.default ~mode ~seed:0 in

@@ -36,6 +36,26 @@ let diff_direction rel helps =
   | Constr.Eq, _ ->
     errorf "monotonicity declarations make no sense on equality constraints"
 
+(* On a cycle of sibling [after:] orderings, self-loops included, no
+   designer could ever act. Every dependency must already name a sibling. *)
+let check_acyclic siblings =
+  let finished = Hashtbl.create 8 in
+  let rec visit path p =
+    let name = p.Ast.prd_name in
+    if List.mem name path then
+      errorf "cyclic subproblem ordering: %s"
+        (String.concat " after " (List.rev (name :: path)))
+    else if not (Hashtbl.mem finished name) then begin
+      List.iter
+        (fun dep ->
+          visit (name :: path)
+            (List.find (fun s -> String.equal s.Ast.prd_name dep) siblings))
+        p.Ast.prd_after;
+      Hashtbl.replace finished name ()
+    end
+  in
+  List.iter (visit []) siblings
+
 let validate decl =
   let prop_names = List.map (fun p -> p.Ast.pd_name) decl.Ast.sd_properties in
   check_unique "property" prop_names;
@@ -69,10 +89,23 @@ let validate decl =
       if not (known target) then errorf "model targets unknown property %s" target;
       check_expr (Printf.sprintf "model of %s" target) model)
     decl.Ast.sd_models;
+  (* a requirement outside its property's domain would only fail at the
+     first build, in [Network.assign]; the same range test rejects it here *)
   List.iter
-    (fun (target, _) ->
-      if not (known target) then
-        errorf "requirement targets unknown property %s" target)
+    (fun (target, value) ->
+      match
+        List.find_opt
+          (fun p -> String.equal p.Ast.pd_name target)
+          decl.Ast.sd_properties
+      with
+      | None -> errorf "requirement targets unknown property %s" target
+      | Some p -> (
+        let domain = domain_of_decl target p.Ast.pd_domain in
+        match Domain.hull domain with
+        | Some iv when Interval.mem value iv -> ()
+        | Some _ | None ->
+          errorf "requirement %s = %g lies outside its domain %s" target value
+            (Domain.to_string domain)))
     decl.Ast.sd_requirements;
   List.iter
     (fun (obj, props) ->
@@ -111,9 +144,26 @@ let validate decl =
                 child.Ast.prd_name dep)
           child.Ast.prd_after;
         check_problem child)
-      p.Ast.prd_children
+      p.Ast.prd_children;
+    check_acyclic p.Ast.prd_children
   in
   check_problem decl.Ast.sd_problem
+
+let override_requirements values decl =
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name decl.Ast.sd_requirements) then
+        errorf "cannot override %s: not a declared requirement of %s" name
+          decl.Ast.sd_name)
+    values;
+  {
+    decl with
+    Ast.sd_requirements =
+      List.map
+        (fun (name, value) ->
+          (name, Option.value (List.assoc_opt name values) ~default:value))
+        decl.Ast.sd_requirements;
+  }
 
 let build decl ~mode =
   let net = Network.create () in

@@ -15,9 +15,11 @@ type result = { points : point list; conv_spread : float; adpm_spread : float }
 
 let measure ~jobs mode req_gain seeds =
   let scenario =
-    Scenario.make ~name:"receiver-sweep" ~description:""
-      ~models:Receiver.scenario.Scenario.sc_models (fun ~mode ->
-        Receiver.build ~req_gain () ~mode)
+    Adpm_dddl.(
+      Elaborate.scenario
+        (Elaborate.override_requirements
+           [ ("req-gain", req_gain) ]
+           (Parser.parse Receiver.source)))
   in
   let cfg = Config.default ~mode ~seed:0 in
   let summaries =

@@ -395,5 +395,3 @@ let scenario p =
         (topology_to_string p.g_topology)
         p.g_subsystems p.g_vars_per_subsystem p.g_seed;
   }
-
-let build p ~mode = (scenario p).Scenario.sc_build ~mode

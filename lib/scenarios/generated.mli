@@ -21,7 +21,6 @@
     name is the ["gen:<spec>"] string itself, which the registry resolves
     back to the identical scenario on any process. *)
 
-open Adpm_core
 open Adpm_teamsim
 
 type topology =
@@ -65,7 +64,6 @@ val params_of_spec : string -> (params, string) result
 val source : params -> string
 (** The canonical DDDL text for these parameters (round-trip checked). *)
 
-val build : params -> mode:Dpm.mode -> Dpm.t
 val scenario : params -> Scenario.t
 (** Named ["gen:<spec>"]; elaborated from {!source}. *)
 

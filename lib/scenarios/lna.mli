@@ -11,17 +11,17 @@
     to 40 Ohm it is connected to two violations (alpha = 2, Fig. 4), and a
     single re-sizing to 3.5 um clears both. *)
 
-open Adpm_core
 open Adpm_teamsim
 
-val build : ?adjustable_requirements:bool -> unit -> mode:Dpm.mode -> Dpm.t
-(** [adjustable_requirements] (default [false]) makes the requirement
-    properties outputs of the leader's top-level problem so that scripted
-    walkthroughs can tighten them mid-design; simulations keep them fixed
-    inputs. When requirements are fixed, [min_zin] starts at its tightened
-    value of 40 Ohm. *)
-
 val scenario : Scenario.t
+(** The simulation case: the requirements are fixed inputs of the leader's
+    top-level problem, with [Min-LNA-Zin] at its tightened 40 Ohm. *)
+
+val walkthrough : Scenario.t
+(** The scripted walkthrough of Figs. 2-4, derived from [source]: the
+    requirements are outputs of the top-level problem so the leader can
+    tighten them mid-design, and [Min-LNA-Zin] starts at 25 Ohm. Not in
+    the registry. *)
 
 (** Property names used by the walkthrough script and tests. *)
 
@@ -33,5 +33,5 @@ val max_power : string
 val min_zin : string
 
 val source : string
-(** The scenario in DDDL — the canonical text artifact that [scenario] is
-    elaborated from. *)
+(** The scenario in DDDL: its one definition, which [scenario] and
+    [walkthrough] are elaborated from. *)

@@ -7,21 +7,15 @@
     of them non-linear — matching the statistics the paper reports, which
     makes this the "harder" of the two cases. *)
 
-open Adpm_core
 open Adpm_teamsim
-
-val build : ?req_gain:float -> unit -> mode:Dpm.mode -> Dpm.t
-(** [req_gain] is the minimum end-to-end voltage gain (default 30). Fig. 10
-    sweeps its tightness. *)
-
-val models : (string * Adpm_expr.Expr.t) list
-(** Tool models of the derived performance properties (band centres). *)
 
 val scenario : Scenario.t
 
 val gain_sweep : float list
-(** The requirement values used by the Fig. 10 tightness sweep. *)
+(** The values of the [req-gain] requirement (minimum end-to-end voltage
+    gain, 30 in [source]) that the Fig. 10 tightness sweep runs. *)
 
 val source : string
-(** The scenario in DDDL — the canonical text artifact that [scenario] is
-    elaborated from. *)
+(** The scenario in DDDL: its one definition, which [scenario] is
+    elaborated from. Run it under changed requirements through
+    {!Adpm_dddl.Elaborate.override_requirements}. *)

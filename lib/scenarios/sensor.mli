@@ -6,23 +6,11 @@
     properties and 21 constraints, most of them linear and monotonic —
     matching the statistics the paper reports for this case. *)
 
-open Adpm_core
 open Adpm_teamsim
-
-val build :
-  ?req_resolution:float ->
-  ?req_yield:float ->
-  ?req_range:float ->
-  unit ->
-  mode:Dpm.mode ->
-  Dpm.t
-(** Defaults: resolution 2.3 kPa, yield 78 %, range 180 kPa. *)
-
-val models : (string * Adpm_expr.Expr.t) list
-(** Tool models of the derived performance properties (band centres). *)
 
 val scenario : Scenario.t
 
 val source : string
-(** The scenario in DDDL — the canonical text artifact that [scenario] is
-    elaborated from. *)
+(** The scenario in DDDL: its one definition, which [scenario] is
+    elaborated from. Run it under changed requirements through
+    {!Adpm_dddl.Elaborate.override_requirements}. *)

@@ -8,17 +8,11 @@
     enough that per-operation profiles (violations found, evaluations
     executed) are easy to read. *)
 
-open Adpm_core
 open Adpm_teamsim
-
-val build : ?p_max:float -> ?g_min:float -> unit -> mode:Dpm.mode -> Dpm.t
-(** Defaults: [p_max = 19.], [g_min = 14.5]. *)
-
-val models : (string * Adpm_expr.Expr.t) list
-(** Tool models of the derived performance properties (band centres). *)
 
 val scenario : Scenario.t
 
 val source : string
-(** The scenario in DDDL — the canonical text artifact that [scenario] is
-    elaborated from. *)
+(** The scenario in DDDL: its one definition, which [scenario] is
+    elaborated from. Run it under changed requirements through
+    {!Adpm_dddl.Elaborate.override_requirements}. *)

@@ -1,5 +1,6 @@
-(* Tests for Adpm_dddl: lexer, parser, elaboration, error reporting, and
-   behavioural equivalence with the OCaml-built scenario. *)
+(* Tests for Adpm_dddl: lexer, parser, elaboration, error reporting,
+   printer round-trips, requirement overrides, and behavioural equivalence
+   with the OCaml-built scenario. *)
 
 open Adpm_expr
 open Adpm_csp
@@ -204,7 +205,21 @@ let test_elaborate_errors () =
   (* unknown sibling dependency *)
   expect_error
     {|scenario s { property x : real [0,1];
-      problem t owner l { subproblem a owner w { outputs: x; after: ghost; } } }|}
+      problem t owner l { subproblem a owner w { outputs: x; after: ghost; } } }|};
+  (* requirement outside its property's domain *)
+  expect_error
+    {|scenario s { property x : real [0,10]; requirement x = 1000;
+      problem t owner l { inputs: x; subproblem a owner w { inputs: x; } } }|};
+  (* siblings ordered after each other *)
+  expect_error
+    {|scenario s { property x : real [0,1]; property y : real [0,1];
+      problem t owner l {
+        subproblem a owner w { outputs: x; after: b; }
+        subproblem b owner v { outputs: y; after: a; } } }|};
+  (* a subproblem ordered after itself *)
+  expect_error
+    {|scenario s { property x : real [0,1];
+      problem t owner l { subproblem a owner w { outputs: x; after: a; } } }|}
 
 let test_parse_error_positions () =
   try
@@ -313,25 +328,43 @@ let printer_expr_roundtrip =
       let e = normalise e in
       Parser.parse_expr (Printer.expr e) = e)
 
-(* {2 Equivalence with the OCaml-built simple scenario} *)
+(* {2 Requirement overrides} *)
+
+let test_override_requirements () =
+  let decl = Parser.parse Adpm_scenarios.Simple.source in
+  let overridden = Elaborate.override_requirements [ ("g_min", 12.) ] decl in
+  Alcotest.(check (list (pair string (float 0.))))
+    "value replaced in declaration order"
+    [ ("p_max", 19.); ("g_min", 12.) ]
+    overridden.Ast.sd_requirements;
+  let dpm =
+    (Elaborate.scenario overridden).Scenario.sc_build ~mode:Dpm.Adpm
+  in
+  Alcotest.(check (option (float 0.))) "the build binds the new value"
+    (Some 12.)
+    (Network.assigned_num (Dpm.network dpm) "g_min");
+  let expect_error label f =
+    Alcotest.(check bool) label true
+      (try
+         ignore (f ());
+         false
+       with Elaborate.Error _ -> true)
+  in
+  expect_error "a property that is no requirement is rejected" (fun () ->
+      Elaborate.override_requirements [ ("xa1", 1.) ] decl);
+  expect_error "an unknown name is rejected" (fun () ->
+      Elaborate.override_requirements [ ("g-min", 12.) ] decl);
+  expect_error "an out-of-domain value fails elaboration" (fun () ->
+      Elaborate.scenario
+        (Elaborate.override_requirements [ ("g_min", 99.) ] decl))
+
+(* {2 Equivalence with the OCaml-built simple scenario}
+
+   The hand-built OCaml network is gone; its runs survive as the pinned
+   rows of [Test_scenarios], which the DDDL scenario must reproduce. *)
 
 let test_dddl_matches_ocaml_scenario () =
-  let open Adpm_scenarios in
-  let ocaml_reference =
-    Scenario.make ~name:"simple-ocaml" ~description:"OCaml-built reference"
-      ~models:Simple.models
-      (fun ~mode -> Simple.build () ~mode)
-  in
-  List.iter
-    (fun (mode, seed) ->
-      let cfg = Config.default ~mode ~seed in
-      let a = (Engine.run cfg Simple.scenario).Engine.o_summary in
-      let b = (Engine.run cfg ocaml_reference).Engine.o_summary in
-      Alcotest.(check int) "ops equal" b.Metrics.s_operations a.Metrics.s_operations;
-      Alcotest.(check int) "evals equal" b.Metrics.s_evaluations a.Metrics.s_evaluations;
-      Alcotest.(check int) "spins equal" b.Metrics.s_spins a.Metrics.s_spins;
-      Alcotest.(check bool) "completed" true a.Metrics.s_completed)
-    [ (Dpm.Adpm, 1); (Dpm.Adpm, 5); (Dpm.Conventional, 1); (Dpm.Conventional, 5) ]
+  Test_scenarios.check_pinned Adpm_scenarios.Simple.scenario
 
 let suite =
   [
@@ -349,6 +382,7 @@ let suite =
     ("semantic errors", `Quick, test_elaborate_errors);
     ("parse error positions", `Quick, test_parse_error_positions);
     ("caret-style load errors", `Quick, test_caret_error_message);
+    ("requirement overrides", `Quick, test_override_requirements);
     ("DDDL scenario equals OCaml scenario", `Quick, test_dddl_matches_ocaml_scenario);
     ("printer round-trips scenarios", `Quick, test_printer_roundtrip_scenarios);
     ("emit round-trips scenarios", `Quick, test_emit_roundtrip_scenarios);

@@ -18,7 +18,7 @@ let contains haystack needle =
 
 let test_generated_counts () =
   let p = Generated.default_params ~subsystems:4 ~vars:3 in
-  let dpm = Generated.build p ~mode:Dpm.Adpm in
+  let dpm = (Generated.scenario p).Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Alcotest.(check int) "properties" (Generated.property_count p)
     (List.length (Network.prop_names net));
@@ -29,8 +29,8 @@ let test_generated_counts () =
 
 let test_generated_deterministic () =
   let p = Generated.default_params ~subsystems:3 ~vars:2 in
-  let d1 = Generated.build p ~mode:Dpm.Adpm in
-  let d2 = Generated.build p ~mode:Dpm.Adpm in
+  let d1 = (Generated.scenario p).Scenario.sc_build ~mode:Dpm.Adpm in
+  let d2 = (Generated.scenario p).Scenario.sc_build ~mode:Dpm.Adpm in
   (* identical generated coefficients => identical requirement values *)
   List.iter
     (fun prop ->
@@ -40,7 +40,7 @@ let test_generated_deterministic () =
         (Network.assigned_num (Dpm.network d2) prop))
     [ "p_budget"; "gmin0"; "gmin1"; "gmin2" ];
   let p' = { p with Generated.g_seed = 99 } in
-  let d3 = Generated.build p' ~mode:Dpm.Adpm in
+  let d3 = (Generated.scenario p').Scenario.sc_build ~mode:Dpm.Adpm in
   Alcotest.(check bool) "different seed differs" true
     (Network.assigned_num (Dpm.network d1) "p_budget"
     <> Network.assigned_num (Dpm.network d3) "p_budget")
@@ -86,8 +86,9 @@ let test_generated_completes () =
 let test_generated_validation () =
   Alcotest.(check bool) "1 subsystem rejected" true
     (try
-       ignore (Generated.build (Generated.default_params ~subsystems:1 ~vars:2)
-                 ~mode:Dpm.Adpm);
+       ignore
+         ((Generated.scenario (Generated.default_params ~subsystems:1 ~vars:2))
+            .Scenario.sc_build ~mode:Dpm.Adpm);
        false
      with Invalid_argument _ -> true)
 
@@ -263,7 +264,7 @@ let test_registry_file () =
         s.Scenario.sc_name;
       let from_file = s.Scenario.sc_build ~mode:Dpm.Adpm in
       let builtin = Lna.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
-      Alcotest.(check int) "same network as the builtin twin"
+      Alcotest.(check int) "same network as the builtin"
         (Network.constraint_count (Dpm.network builtin))
         (Network.constraint_count (Dpm.network from_file)))
 
@@ -313,7 +314,14 @@ let test_registry_fingerprint_reproduction () =
 
 let shaving_fixture () =
   (* the mid-design receiver state where hull consistency is weak *)
-  let dpm = Receiver.build ~req_gain:2000. () ~mode:Dpm.Adpm in
+  let dpm =
+    Adpm_dddl.(
+      Elaborate.scenario
+        (Elaborate.override_requirements
+           [ ("req-gain", 2000.) ]
+           (Parser.parse Receiver.source)))
+      .Scenario.sc_build ~mode:Dpm.Adpm
+  in
   let net = Dpm.network dpm in
   Network.assign net "bias-current" (Value.Num 9.);
   Network.assign net "mixer-gm" (Value.Num 18.);
@@ -341,7 +349,7 @@ let test_shaving_tightens () =
 
 let test_shaving_sound () =
   (* shaving must not remove the witness solution *)
-  let dpm = Receiver.build () ~mode:Dpm.Adpm in
+  let dpm = Receiver.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   let witness =
     [

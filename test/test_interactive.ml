@@ -117,75 +117,55 @@ let test_conventional_verify () =
    [Dpm.apply] rejects with [Invalid_argument] ("y is not an output of
    problem params"). *)
 let cross_problem_scenario =
-  let open Adpm_csp in
-  let open Adpm_expr in
-  let build ~mode =
-    let net = Network.create () in
-    Builder.continuous net "x" 0. 10.;
-    Builder.continuous net "y" 0. 20.;
-    let band = Builder.le net "y-band" (Expr.var "y") (Expr.const 15.) in
-    Builder.assemble ~mode ~net ~objects:[] ~top_name:"top" ~leader:"leader"
-      ~requirements:[] ~system_constraints:[]
-      ~subproblems:
-        [
-          {
-            Builder.ps_name = "params";
-            ps_owner = "alice";
-            ps_inputs = [];
-            ps_outputs = [ "x" ];
-            ps_constraints = [];
-            ps_object = None;
-          };
-          {
-            Builder.ps_name = "perf";
-            ps_owner = "alice";
-            ps_inputs = [];
-            ps_outputs = [ "y" ];
-            ps_constraints = [ band ];
-            ps_object = None;
-          };
-        ]
-  in
-  Scenario.make ~name:"broken-synthesis"
-    ~description:"poisoned: synthesis ships a cross-problem assignment"
-    ~models:[ ("y", Adpm_expr.Expr.(var "x" + const 1.)) ]
-    build
+  {
+    (Adpm_dddl.Elaborate.load_string
+       {|scenario "broken-synthesis" {
+           property x : real [0, 10];
+           property y : real [0, 20];
+           constraint "y-band" : y <= 15;
+           model y = x + 1;
+           problem top owner leader {
+             subproblem params owner alice { outputs: x; }
+             subproblem perf owner alice {
+               outputs: y;
+               constraints: "y-band";
+             }
+           }
+         }|})
+    with
+    Scenario.sc_description =
+      "poisoned: synthesis ships a cross-problem assignment";
+  }
 
 (* alice's problem lists a constraint id that the session's network does
    not know (the constraint was built on a different network), so in
    conventional mode [Dpm.eligible_verifications] raises
-   [Invalid_argument] at {e choose} time — before any apply. *)
+   [Invalid_argument] at {e choose} time — before any apply. DDDL
+   validation rejects such a problem, so the network is built directly. *)
 let alien_constraint_scenario =
   let open Adpm_csp in
-  let open Adpm_expr in
   let build ~mode =
     let net = Network.create () in
-    Builder.continuous net "x" 0. 10.;
+    Network.add_prop net "x" (Adpm_interval.Domain.continuous 0. 10.);
     let alien_net = Network.create () in
-    Builder.continuous alien_net "a" 0. 1.;
+    Network.add_prop alien_net "a" (Adpm_interval.Domain.continuous 0. 1.);
     let alien =
       List.nth
         (List.map
            (fun i ->
-             Builder.le alien_net
-               (Printf.sprintf "alien-%d" i)
-               (Expr.var "a") (Expr.const (float_of_int i)))
+             Network.add_constraint alien_net
+               ~name:(Printf.sprintf "alien-%d" i)
+               (Adpm_expr.Expr.var "a") Constr.Le
+               (Adpm_expr.Expr.const (float_of_int i)))
            [ 1; 2; 3; 4; 5 ])
         4
     in
-    Builder.assemble ~mode ~net ~objects:[] ~top_name:"top" ~leader:"leader"
-      ~requirements:[] ~system_constraints:[]
-      ~subproblems:
-        [
-          {
-            Builder.ps_name = "work";
-            ps_owner = "alice";
-            ps_inputs = [];
-            ps_outputs = [ "x" ];
-            ps_constraints = [ alien ];
-            ps_object = None;
-          };
-        ]
+    let top = Problem.make ~id:0 ~name:"top" ~owner:"leader" () in
+    let dpm = Dpm.create ~mode net ~objects:[] ~top in
+    Dpm.register_problem dpm ~parent:(Some 0)
+      (Problem.make ~id:1 ~name:"work" ~owner:"alice" ~outputs:[ "x" ]
+         ~constraints:[ alien.Constr.id ] ());
+    dpm
   in
   Scenario.make ~name:"broken-verify"
     ~description:"poisoned: a problem lists an unknown constraint id" build
@@ -229,45 +209,14 @@ let test_verify_contains_exceptions () =
 
 (* {2 Full-scale DDDL twins}
 
-   The shipped scenarios are now elaborated from their embedded DDDL
-   sources; the hand-built OCaml networks remain as the equivalence
-   reference these tests run against. *)
+   The shipped scenarios are elaborated from their embedded DDDL sources.
+   The hand-built OCaml networks they replaced are gone; their runs survive
+   as the pinned rows of [Test_scenarios], which each source must
+   reproduce. *)
 
-let check_twin ?(must_complete = true) name dddl ocaml =
-  List.iter
-    (fun (mode, seed) ->
-      let cfg = Config.default ~mode ~seed in
-      let a = (Engine.run cfg dddl).Engine.o_summary in
-      let b = (Engine.run cfg ocaml).Engine.o_summary in
-      Alcotest.(check int)
-        (Printf.sprintf "%s/%s ops equal" name (Dpm.mode_to_string mode))
-        b.Metrics.s_operations a.Metrics.s_operations;
-      Alcotest.(check int) "evals equal" b.Metrics.s_evaluations
-        a.Metrics.s_evaluations;
-      Alcotest.(check int) "spins equal" b.Metrics.s_spins a.Metrics.s_spins;
-      if must_complete then
-        Alcotest.(check bool) "completed" true a.Metrics.s_completed
-      else
-        Alcotest.(check bool) "completed equal" b.Metrics.s_completed
-          a.Metrics.s_completed)
-    [ (Dpm.Adpm, 1); (Dpm.Adpm, 3); (Dpm.Conventional, 1); (Dpm.Conventional, 3) ]
-
-let test_sensor_dddl_twin () =
-  check_twin "sensor" Sensor.scenario
-    (Scenario.make ~name:"sensor-ocaml" ~description:"OCaml-built reference"
-       ~models:Sensor.models
-       (fun ~mode -> Sensor.build () ~mode))
-
-let test_receiver_dddl_twin () =
-  check_twin "receiver" Receiver.scenario
-    (Scenario.make ~name:"receiver-ocaml" ~description:"OCaml-built reference"
-       ~models:Receiver.models
-       (fun ~mode -> Receiver.build () ~mode))
-
-let test_lna_dddl_twin () =
-  check_twin ~must_complete:false "lna" Lna.scenario
-    (Scenario.make ~name:"lna-ocaml" ~description:"OCaml-built reference"
-       (fun ~mode -> Lna.build () ~mode))
+let test_sensor_dddl_twin () = Test_scenarios.check_pinned Sensor.scenario
+let test_receiver_dddl_twin () = Test_scenarios.check_pinned Receiver.scenario
+let test_lna_dddl_twin () = Test_scenarios.check_pinned Lna.scenario
 
 let suite =
   [

@@ -15,7 +15,7 @@ let count_props net =
        (Network.prop_names net))
 
 let test_sensor_statistics () =
-  let dpm = Sensor.build () ~mode:Dpm.Adpm in
+  let dpm = Sensor.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Alcotest.(check int) "26 properties (paper: up to 26)" 26 (count_props net);
   Alcotest.(check int) "21 constraints (paper: up to 21)" 21
@@ -46,7 +46,7 @@ let test_sensor_statistics () =
     (List.length nonlinear * 2 < Network.constraint_count net)
 
 let test_receiver_statistics () =
-  let dpm = Receiver.build () ~mode:Dpm.Adpm in
+  let dpm = Receiver.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Alcotest.(check int) "35 properties (paper: up to 35)" 35 (count_props net);
   Alcotest.(check int) "30 constraints (paper: up to 30)" 30
@@ -66,7 +66,7 @@ let check_witness dpm witness =
 
 let test_sensor_witness () =
   check_witness
-    (Sensor.build () ~mode:Dpm.Conventional)
+    (Sensor.scenario.Scenario.sc_build ~mode:Dpm.Conventional)
     [
       ("radius", 500.); ("thickness", 5.); ("gap", 2.); ("base-cap", 6.);
       ("sensitivity", 1.1); ("max-pressure", 225.); ("sensor-noise", 1.2);
@@ -76,7 +76,7 @@ let test_sensor_witness () =
 
 let test_receiver_witness () =
   check_witness
-    (Receiver.build () ~mode:Dpm.Conventional)
+    (Receiver.scenario.Scenario.sc_build ~mode:Dpm.Conventional)
     [
       ("diff-pair-w", 4.); ("freq-ind", 0.2); ("bias-current", 4.);
       ("load-res", 1.); ("mixer-gm", 5.); ("mixer-bias", 2.);
@@ -107,7 +107,7 @@ let test_scenarios_complete () =
     [ (Simple.scenario, 2000); (Sensor.scenario, 2000); (Receiver.scenario, 2000) ]
 
 let test_lna_structure () =
-  let dpm = Lna.build () ~mode:Dpm.Adpm in
+  let dpm = Lna.scenario.Scenario.sc_build ~mode:Dpm.Adpm in
   let net = Dpm.network dpm in
   Alcotest.(check int) "beta(Diff-pair-W) = 3 (paper, Fig. 3)" 3
     (Network.beta net Lna.diff_pair_w);
@@ -125,21 +125,138 @@ let test_lna_simulation_completes () =
         true outcome.Engine.o_summary.Metrics.s_completed)
     [ Dpm.Conventional; Dpm.Adpm ]
 
+(* the receiver under a changed gain requirement, as Fig. 10 runs it *)
+let receiver_at req_gain =
+  Adpm_dddl.(
+    Elaborate.scenario
+      (Elaborate.override_requirements
+         [ ("req-gain", req_gain) ]
+         (Parser.parse Receiver.source)))
+
 let test_receiver_tightness_monotone () =
   (* harder specs never make the conventional process cheaper on average
      (weak directional check at small sample size) *)
   let mean_ops req_gain =
-    let scenario =
-      Scenario.make ~name:"rx" ~description:""
-        ~models:Receiver.scenario.Scenario.sc_models (fun ~mode ->
-          Receiver.build ~req_gain () ~mode)
-    in
+    let scenario = receiver_at req_gain in
     let cfg = Config.default ~mode:Dpm.Conventional ~seed:0 in
     let summaries = Engine.run_many cfg scenario ~seeds:[ 1; 2; 3 ] in
     List.fold_left (fun acc s -> acc + s.Metrics.s_operations) 0 summaries
   in
   let loose = mean_ops 30. and tight = mean_ops 2000. in
   Alcotest.(check bool) "tight spec costs at least as much" true (tight >= loose)
+
+(* {2 Pinned run fingerprints}
+
+   (completed, operations, evaluations, spins) of single runs: every
+   builtin scenario in both modes at seeds 1, 3 and 5, and the receiver at
+   every Fig. 10 gain point in both modes at seed 1, which pins the
+   requirement-override path. The values were generated from the
+   hand-built OCaml networks the DDDL sources replaced, which the sources
+   reproduced exactly; the builtin rows are checked by the DDDL twin tests
+   of the "dddl" and "interactive" suites through [check_pinned]. *)
+
+let check_rows label scenario rows =
+  List.iter
+    (fun (mode, seed, completed, ops, evals, spins) ->
+      let s =
+        (Engine.run (Config.default ~mode ~seed) scenario).Engine.o_summary
+      in
+      Alcotest.(check (pair bool (list int)))
+        (Printf.sprintf "%s/%s seed %d" label (Dpm.mode_to_string mode) seed)
+        (completed, [ ops; evals; spins ])
+        ( s.Metrics.s_completed,
+          [ s.Metrics.s_operations; s.Metrics.s_evaluations; s.Metrics.s_spins ]
+        ))
+    rows
+
+let builtin_goldens =
+  [
+    ( Simple.scenario,
+      [
+        (Dpm.Adpm, 1, true, 9, 434, 5);
+        (Dpm.Adpm, 3, true, 5, 189, 1);
+        (Dpm.Adpm, 5, true, 6, 256, 2);
+        (Dpm.Conventional, 1, true, 7, 11, 0);
+        (Dpm.Conventional, 3, true, 7, 11, 0);
+        (Dpm.Conventional, 5, true, 31, 67, 8);
+      ] );
+    ( Sensor.scenario,
+      [
+        (Dpm.Adpm, 1, true, 6, 332, 0);
+        (Dpm.Adpm, 3, true, 6, 335, 0);
+        (Dpm.Adpm, 5, true, 6, 332, 0);
+        (Dpm.Conventional, 1, true, 48, 97, 0);
+        (Dpm.Conventional, 3, true, 45, 71, 0);
+        (Dpm.Conventional, 5, true, 39, 43, 0);
+      ] );
+    ( Receiver.scenario,
+      [
+        (Dpm.Adpm, 1, true, 14, 1070, 0);
+        (Dpm.Adpm, 3, true, 14, 1009, 0);
+        (Dpm.Adpm, 5, true, 14, 1098, 0);
+        (Dpm.Conventional, 1, true, 255, 537, 26);
+        (Dpm.Conventional, 3, true, 589, 1258, 27);
+        (Dpm.Conventional, 5, true, 131, 269, 12);
+      ] );
+    ( Lna.scenario,
+      [
+        (Dpm.Adpm, 1, true, 3, 96, 0);
+        (Dpm.Adpm, 3, true, 3, 95, 0);
+        (Dpm.Adpm, 5, true, 3, 96, 0);
+        (Dpm.Conventional, 1, true, 89, 122, 7);
+        (Dpm.Conventional, 3, true, 45, 64, 0);
+        (Dpm.Conventional, 5, true, 39, 53, 4);
+      ] );
+  ]
+
+(* Check every pinned row of one builtin scenario. *)
+let check_pinned (scenario : Scenario.t) =
+  check_rows scenario.Scenario.sc_name scenario
+    (List.assq scenario builtin_goldens)
+
+let override_goldens =
+  [
+    ( 30.,
+      [
+        (Dpm.Adpm, 1, true, 14, 1070, 0);
+        (Dpm.Conventional, 1, true, 255, 537, 26);
+      ] );
+    ( 500.,
+      [
+        (Dpm.Adpm, 1, true, 14, 1094, 0);
+        (Dpm.Conventional, 1, true, 244, 517, 30);
+      ] );
+    ( 1000.,
+      [
+        (Dpm.Adpm, 1, true, 14, 1118, 0);
+        (Dpm.Conventional, 1, true, 305, 646, 44);
+      ] );
+    ( 1500.,
+      [
+        (Dpm.Adpm, 1, true, 14, 1117, 0);
+        (Dpm.Conventional, 1, true, 465, 1030, 49);
+      ] );
+    ( 2000.,
+      [
+        (Dpm.Adpm, 1, true, 14, 1151, 0);
+        (Dpm.Conventional, 1, true, 348, 740, 52);
+      ] );
+    ( 3000.,
+      [
+        (Dpm.Adpm, 1, true, 255, 32801, 145);
+        (Dpm.Conventional, 1, true, 767, 1738, 115);
+      ] );
+  ]
+
+let test_pinned_fingerprints () =
+  Alcotest.(check (list (float 0.))) "the table covers the Fig. 10 sweep"
+    Receiver.gain_sweep (List.map fst override_goldens);
+  List.iter
+    (fun (req_gain, rows) ->
+      check_rows
+        (Printf.sprintf "receiver req-gain=%g" req_gain)
+        (receiver_at req_gain) rows)
+    override_goldens
 
 let suite =
   [
@@ -151,4 +268,5 @@ let suite =
     ("lna structure", `Quick, test_lna_structure);
     ("lna simulation completes", `Quick, test_lna_simulation_completes);
     ("receiver tightness direction", `Slow, test_receiver_tightness_monotone);
+    ("pinned run fingerprints", `Slow, test_pinned_fingerprints);
   ]
