@@ -74,6 +74,27 @@ let () =
        per revision again"
       fixpoint_words max_fixpoint_words;
   let kernel_ns = speedup "kernel_ns_per_op" in
+  (* The designers decide from tables compiled once per network structure
+     and problem tree, and read the known-violated set the DPM maintains:
+     a turn of Designer.choose_operation (receiver, both modes, seeds 1-3)
+     allocated 872 minor words when the gate was set, 3919 before. It is a
+     deterministic count, so the bar applies to fast runs too; the turn's
+     wall time (designer_us_per_turn, with its spread) must merely exist. *)
+  let max_designer_words = 900. in
+  let designer_words = speedup "designer_words_per_turn" in
+  if designer_words > max_designer_words then
+    die
+      "designer_words_per_turn %g > %g: the designer re-derives its decision \
+       inputs per turn again"
+      designer_words max_designer_words;
+  let designer_us = speedup "designer_us_per_turn" in
+  (match
+     Option.bind (Json.member "designer_us_per_turn_spread" json) (fun s ->
+         Option.bind (Json.member "repeats" s) Json.to_int)
+   with
+  | Some n when n >= 1 -> ()
+  | Some _ | None ->
+    die "%s lacks designer_us_per_turn_spread.repeats" file);
   (* the discrete-event engine must both exist and agree: a missing or
      non-finite overhead ratio means the scheduler comparison silently
      stopped running, and des_agrees=false means the latency-0 fingerprint
@@ -187,11 +208,13 @@ let () =
   Printf.printf
     "bench-smoke check OK: incremental_speedup=%.2fx \
      fixpoint_words_per_rev=%.2f kernel_ns_per_op=%.1f \
+     designer_words_per_turn=%.1f designer_us_per_turn=%.1f \
      domains_speedup=%.2fx (jobs=%d, cores=%d) des_overhead=%.2fx \
      adapt_advantage=%.2fx \
      gen_scenarios_per_s=%.1f fuzz_throughput=%.1f/s \
      teamsimd=%d sessions @ %.0f ops/s (p99 %.2fms) recovery=%.1fms \
      chaos_sessions=%d/%d ok\n"
-    incremental fixpoint_words kernel_ns domains domains_jobs cores
+    incremental fixpoint_words kernel_ns designer_words designer_us domains
+    domains_jobs cores
     des_overhead adapt_advantage gen_rate fuzz teamsimd_sessions teamsimd_ops
     teamsimd_p99 recovery_ms chaos_sessions chaos_sessions

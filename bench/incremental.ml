@@ -34,14 +34,20 @@ type result = {
   all_agree : bool;
 }
 
-(* The oracle's outcome equals what the incremental path applied to [net]. *)
+(* The oracle's outcome equals what the incremental path applied to [net]
+   (a symbolic property's entry is its initial domain, which is also what
+   the network holds for it). *)
 let matches_network net (oracle : Propagate.outcome) =
-  List.for_all
-    (fun (name, d) -> Domain.equal d (Network.feasible net name))
-    oracle.Propagate.feasible
-  && List.for_all
-       (fun (cid, s) -> s = Network.status net cid)
-       oracle.Propagate.statuses
+  let agree = ref true in
+  Array.iteri
+    (fun pid d ->
+      if not (Domain.equal d (Network.prop_by_id net pid).Network.p_feasible)
+      then agree := false)
+    oracle.Propagate.feasible;
+  Array.iteri
+    (fun cid s -> if s <> Network.status net cid then agree := false)
+    oracle.Propagate.statuses;
+  !agree
 
 let run_seed seed =
   let dpm = ref None in

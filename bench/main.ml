@@ -93,7 +93,10 @@ let gen_scenarios_per_s () =
   rate
 
 let results_json ~fig9_seeds ~domains ~adapt ~gen_rate ~kernel_ns
-    ~fixpoint_words verdicts incr des faults fuzz teamsimd chaos =
+    ~fixpoint_words ~designer verdicts incr des faults fuzz teamsimd chaos =
+  let designer_words, designer_repeats, (designer_us, designer_us_min, designer_us_max) =
+    designer
+  in
   let domains_jobs, domains_speedup, domains_agrees = domains in
   Json.Obj
     [
@@ -103,6 +106,15 @@ let results_json ~fig9_seeds ~domains ~adapt ~gen_rate ~kernel_ns
       ("incremental_speedup", Json.Num incr.Incremental.speedup);
       ("kernel_ns_per_op", Json.Num kernel_ns);
       ("fixpoint_words_per_rev", Json.Num fixpoint_words);
+      ("designer_words_per_turn", Json.Num designer_words);
+      ("designer_us_per_turn", Json.Num designer_us);
+      ( "designer_us_per_turn_spread",
+        Json.Obj
+          [
+            ("repeats", Json.Num (float_of_int designer_repeats));
+            ("min", Json.Num designer_us_min);
+            ("max", Json.Num designer_us_max);
+          ] );
       ("des_overhead", Json.Num des.Des_overhead.overhead);
       ("des_agrees", Json.Bool des.Des_overhead.agrees);
       ("fault_sweep", fault_sweep_json faults);
@@ -339,11 +351,21 @@ let () =
   Printf.printf
     "HC4 kernel: %.1f ns per revise; fixpoint: %.2f minor words per revision\n"
     kernel_ns fixpoint_words;
+  let designer_words = Microbench.designer_words_per_turn () in
+  let designer_repeats = if fast then 3 else 7 in
+  let ((us, us_min, us_max) as designer_us) =
+    Microbench.designer_us_per_turn ~repeats:designer_repeats
+  in
+  Printf.printf
+    "designer turn (receiver, both modes, seeds 1-3): %.1f minor words; \
+     %.1f us median of %d (min %.1f, max %.1f)\n"
+    designer_words us designer_repeats us_min us_max;
 
   let json =
     results_json ~fig9_seeds ~domains ~adapt ~gen_rate ~kernel_ns
-      ~fixpoint_words (Exp_fig9.verdicts fig9) incr des faults fuzz teamsimd
-      chaos
+      ~fixpoint_words
+      ~designer:(designer_words, designer_repeats, designer_us)
+      (Exp_fig9.verdicts fig9) incr des faults fuzz teamsimd chaos
   in
   let oc = open_out "BENCH_results.json" in
   Fun.protect

@@ -3,8 +3,10 @@
    loop runs), full propagation fixpoints on the paper's two design cases,
    a complete ADPM simulation, and the CSP backtracking search with the two
    informed orderings; plus the minor-heap words a fixpoint allocates per
-   revision. *)
+   revision, and the words and time a designer's turn costs. *)
 
+(* CLOCK_MONOTONIC in unboxed ns; bound before [Toolkit] shadows the name *)
+module Clock = Monotonic_clock
 open Bechamel
 open Toolkit
 open Adpm_util
@@ -108,6 +110,83 @@ let fixpoint_words_per_rev () =
       0 nets
   in
   (Gc.minor_words () -. w0) /. float_of_int revisions
+
+(* {2 Designer decision cost}
+
+   Lockstep team runs of receiver in both modes over fixed seeds, with the
+   engine's turn discipline (a shuffled round; everyone observes every
+   outcome). [choose] wraps every [Designer.choose_operation] call, so
+   what it measures is the designer's decision alone: f_p, f_a, f_v and
+   the relaxed-feasible queries they make, not the DPM transition. *)
+let designer_turns choose =
+  let sc = Receiver.scenario in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun seed ->
+          let cfg = Config.default ~mode ~seed in
+          let dpm = sc.Scenario.sc_build ~mode in
+          let rng = Rng.create seed in
+          let designers =
+            List.map
+              (fun name ->
+                Designer.create cfg ~rng:(Rng.split rng)
+                  ~models:sc.Scenario.sc_models name)
+              (Dpm.designers dpm)
+          in
+          if mode = Dpm.Adpm then
+            ignore (Dpm.run_propagation dpm : Propagate.outcome);
+          let finished = ref false in
+          while (not !finished) && Dpm.op_count dpm < cfg.Config.max_ops do
+            let acted = ref false in
+            List.iter
+              (fun d ->
+                if not !finished then
+                  match choose d dpm with
+                  | None -> ()
+                  | Some op ->
+                    acted := true;
+                    let result = Dpm.apply dpm op in
+                    List.iter
+                      (fun peer ->
+                        Designer.observe peer dpm ~own:(peer == d) op result)
+                      designers;
+                    if Dpm.solved dpm then finished := true)
+              (Rng.shuffle rng designers);
+            if not !acted then finished := true
+          done)
+        [ 1; 2; 3 ])
+    [ Dpm.Adpm; Dpm.Conventional ]
+
+(* Minor-heap words per [Designer.choose_operation] call over
+   [designer_turns]: a deterministic count. *)
+let designer_words_per_turn () =
+  let words = ref 0. and turns = ref 0 in
+  designer_turns (fun d dpm ->
+      let w0 = Gc.minor_words () in
+      let op = Designer.choose_operation d dpm in
+      words := !words +. (Gc.minor_words () -. w0);
+      incr turns;
+      op);
+  !words /. float_of_int !turns
+
+(* Wall time per [Designer.choose_operation] call over [designer_turns],
+   repeated [repeats] times: (median, min, max) in microseconds. *)
+let designer_us_per_turn ~repeats =
+  let per_repeat () =
+    let ns = ref 0. and turns = ref 0 in
+    designer_turns (fun d dpm ->
+        let t0 = Clock.now () in
+        let op = Designer.choose_operation d dpm in
+        ns := !ns +. Int64.to_float (Int64.sub (Clock.now ()) t0);
+        incr turns;
+        op);
+    !ns /. 1e3 /. float_of_int !turns
+  in
+  let samples = List.sort compare (List.init repeats (fun _ -> per_repeat ())) in
+  ( List.nth samples (repeats / 2),
+    List.hd samples,
+    List.nth samples (repeats - 1) )
 
 (* Prints the table; returns the kernel's time per revision in ns. *)
 let run ~fast () =

@@ -38,7 +38,7 @@ let () =
   List.iter
     (fun (prop, d) ->
       Printf.printf "  feasible %-20s = %s\n" prop (Domain.to_string d))
-    outcome.Propagate.feasible;
+    (Propagate.numeric_feasible net outcome);
   Printf.printf "  (%d constraint evaluations)\n" outcome.Propagate.evaluations;
 
   print_endline "\n=== 3. Heuristic-support data (Section 2.3) ===";

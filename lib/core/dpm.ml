@@ -53,6 +53,23 @@ type t = {
   (* relaxed-feasibility memo, valid for one network revision *)
   mutable d_relaxed_rev : int;
   d_relaxed : (string, Domain.t) Hashtbl.t;
+  (* bumped on every problem registration (creation and decomposition) *)
+  mutable d_problem_rev : int;
+  (* per-constraint cross-subsystem facts, valid for one (network
+     structure, problem tree) pair: whether the arguments span two
+     subsystems, and for such constraints the leaf problems listing one of
+     its arguments among their outputs *)
+  mutable d_cross_struct : int;
+  mutable d_cross_probs : int;
+  mutable d_cross : bool array;
+  mutable d_cross_leaves : Problem.t list array;
+  (* the known-violated set by constraint id, kept up to date by [apply]
+     and [shift_requirement] from the status changes they compute; valid
+     while the network revision equals [d_kv_rev] (anything else that moves
+     the network, e.g. a setup propagation, triggers a rescan) *)
+  mutable d_kv : bool array;
+  mutable d_kv_count : int;
+  mutable d_kv_rev : int;
 }
 
 let register_problem_internal t parent_id p =
@@ -61,6 +78,7 @@ let register_problem_internal t parent_id p =
       (Printf.sprintf "Dpm: duplicate problem id %d" p.Problem.pr_id);
   Hashtbl.replace t.probs p.Problem.pr_id p;
   t.prob_order <- p.Problem.pr_id :: t.prob_order;
+  t.d_problem_rev <- t.d_problem_rev + 1;
   if p.Problem.pr_id >= t.next_pid then t.next_pid <- p.Problem.pr_id + 1;
   match parent_id with
   | None -> ()
@@ -91,6 +109,14 @@ let create ~mode ?(max_revisions = 10_000) net ~objects ~top =
       d_heur_cache = Heuristic_data.Cache.create ();
       d_relaxed_rev = -1;
       d_relaxed = Hashtbl.create 32;
+      d_problem_rev = 0;
+      d_cross_struct = -1;
+      d_cross_probs = -1;
+      d_cross = [||];
+      d_cross_leaves = [||];
+      d_kv = [||];
+      d_kv_count = 0;
+      d_kv_rev = -1;
     }
   in
   List.iter
@@ -105,6 +131,7 @@ let register_problem t ~parent p = register_problem_internal t parent p
 let fresh_problem_id t = t.next_pid
 
 let mode t = t.d_mode
+let problem_revision t = t.d_problem_rev
 let network t = t.net
 let top_problem t = Hashtbl.find t.probs t.top
 let problems t = List.rev_map (fun id -> Hashtbl.find t.probs id) t.prob_order
@@ -175,12 +202,46 @@ let known_status t cid =
   | Conventional ->
     if is_fresh t c then Network.status t.net cid else Constr.Consistent
 
-let known_violations t =
-  List.filter_map
+let rescan_known t =
+  let n = Network.constraint_count t.net in
+  if Array.length t.d_kv <> n then t.d_kv <- Array.make n false;
+  let count = ref 0 in
+  List.iter
     (fun c ->
-      if known_status t c.Constr.id = Constr.Violated then Some c.Constr.id
-      else None)
-    (Network.constraints t.net)
+      let v = known_status t c.Constr.id = Constr.Violated in
+      t.d_kv.(c.Constr.id) <- v;
+      if v then incr count)
+    (Network.constraints t.net);
+  t.d_kv_count <- !count;
+  t.d_kv_rev <- Network.revision t.net
+
+let known_violated t =
+  if t.d_kv_rev <> Network.revision t.net then rescan_known t;
+  t.d_kv
+
+(* Fold a transition's known-status changes into the set, which must be
+   up to date with the pre-transition statuses. *)
+let update_known t status_changes =
+  List.iter
+    (fun (cid, before, after) ->
+      if before = Constr.Violated then begin
+        t.d_kv.(cid) <- false;
+        t.d_kv_count <- t.d_kv_count - 1
+      end;
+      if after = Constr.Violated then begin
+        t.d_kv.(cid) <- true;
+        t.d_kv_count <- t.d_kv_count + 1
+      end)
+    status_changes;
+  t.d_kv_rev <- Network.revision t.net
+
+let known_violations t =
+  let kv = known_violated t in
+  let acc = ref [] in
+  for cid = Array.length kv - 1 downto 0 do
+    if kv.(cid) then acc := cid :: !acc
+  done;
+  !acc
 
 let known_statuses t =
   List.map
@@ -251,13 +312,38 @@ let subsystem_of_prop t prop =
   | None -> None
   | Some p -> top_ancestor t p.Problem.pr_id
 
-let is_cross_subsystem t c =
+let spans_subsystems t c =
   let subs =
     List.filter_map (fun arg -> subsystem_of_prop t arg) (Constr.args c)
   in
   match List.sort_uniq compare subs with
   | [] | [ _ ] -> false
   | _ :: _ :: _ -> true
+
+let leaf_problems_of_constraint t c =
+  let arg_list = Constr.args c in
+  List.filter
+    (fun p ->
+      Problem.is_leaf p
+      && List.exists (fun arg -> List.mem arg p.Problem.pr_outputs) arg_list)
+    (problems t)
+
+let refresh_cross t =
+  let s = Network.structure_revision t.net in
+  if s <> t.d_cross_struct || t.d_problem_rev <> t.d_cross_probs then begin
+    let carr = Network.constraint_array t.net in
+    t.d_cross <- Array.map (spans_subsystems t) carr;
+    t.d_cross_leaves <-
+      Array.mapi
+        (fun cid c -> if t.d_cross.(cid) then leaf_problems_of_constraint t c else [])
+        carr;
+    t.d_cross_struct <- s;
+    t.d_cross_probs <- t.d_problem_rev
+  end
+
+let is_cross_subsystem t c =
+  refresh_cross t;
+  t.d_cross.(c.Constr.id)
 
 (* {2 Problem status update} *)
 
@@ -314,36 +400,28 @@ let ground_truth_solved t = Network.solved t.net
 let args_bound t c =
   List.for_all (fun arg -> Network.is_bound t.net arg) (Constr.args c)
 
-let leaf_problems_of_constraint t c =
-  let arg_list = Constr.args c in
-  List.filter
-    (fun p ->
-      Problem.is_leaf p
-      && List.exists (fun arg -> List.mem arg p.Problem.pr_outputs) arg_list)
-    (problems t)
-
 let cross_rule_ok t c =
-  if not (is_cross_subsystem t c) then true
-  else
-    List.for_all
-      (fun p -> p.Problem.pr_status = Problem.Solved)
-      (leaf_problems_of_constraint t c)
+  (not (is_cross_subsystem t c))
+  || List.for_all
+       (fun p -> p.Problem.pr_status = Problem.Solved)
+       t.d_cross_leaves.(c.Constr.id)
 
 let eligible_now t c =
   args_bound t c && (not (is_fresh t c)) && cross_rule_ok t c
+
+let verification_eligible t cid =
+  match t.d_mode with
+  | Adpm -> false
+  | Conventional -> eligible_now t (Network.find_constraint t.net cid)
 
 let eligible_verifications t ~designer =
   match t.d_mode with
   | Adpm -> []
   | Conventional ->
     let owned = problems_owned_by t designer in
-    let cids =
-      List.sort_uniq compare
-        (List.concat_map (fun p -> p.Problem.pr_constraints) owned)
-    in
-    List.filter
-      (fun cid -> eligible_now t (Network.find_constraint t.net cid))
-      cids
+    List.filter (verification_eligible t)
+      (List.sort_uniq compare
+         (List.concat_map (fun p -> p.Problem.pr_constraints) owned))
 
 (* {2 Subscriptions for the NM} *)
 
@@ -483,6 +561,7 @@ let apply t op =
      an early warning that guidance surfaced while subsystems were still
      open. *)
   let integration_level = Network.all_numeric_bound t.net in
+  ignore (known_violated t : bool array);
   let before_known = snapshot_known t in
   let before_feasible = snapshot_feasible t in
   let evaluations, skipped =
@@ -508,6 +587,7 @@ let apply t op =
         resolved := cid :: !resolved)
     after_known;
   let status_changes = List.sort compare !status_changes in
+  update_known t status_changes;
   if Tracer.active t.d_tracer then
     List.iter
       (fun (cid, before, after) ->
@@ -544,14 +624,13 @@ let apply t op =
            (Network.prop_names t.net))
   in
   Notify.trace_pushed t.d_tracer ~op_index:idx notifications;
-  let known_now = known_violations t in
   t.hist <-
     {
       h_index = idx;
       h_op = op;
       h_evaluations = evaluations;
       h_new_violations = List.length !newly_violated;
-      h_known_violations = List.length known_now;
+      h_known_violations = t.d_kv_count;
       h_spin = spin;
     }
     :: t.hist;
@@ -588,6 +667,7 @@ let shift_requirement t ~prop ~value =
   if not (Network.mem_prop t.net prop) then
     invalid_arg
       (Printf.sprintf "Dpm.shift_requirement: unknown property %S" prop);
+  ignore (known_violated t : bool array);
   let before_known = snapshot_known t in
   Network.assign t.net prop (Value.Num value);
   (* the shifted requirement is newer than every executed operation, so a
@@ -613,6 +693,7 @@ let shift_requirement t ~prop ~value =
         status_changes := (cid, before, after) :: !status_changes)
     after_known;
   let status_changes = List.sort compare !status_changes in
+  update_known t status_changes;
   if Tracer.active t.d_tracer then
     List.iter
       (fun (cid, before, after) ->

@@ -76,6 +76,14 @@ val fresh_problem_id : t -> int
 (** {1 Accessors} *)
 
 val mode : t -> mode
+
+val problem_revision : t -> int
+(** Moves on every problem registration ({!create}, {!register_problem},
+    decomposition operations) and on nothing else: with
+    {!Adpm_csp.Network.structure_revision} it keys the layers compiled from
+    the problem tree — the cross-subsystem flags here and each designer's
+    decision view. *)
+
 val network : t -> Network.t
 val top_problem : t -> Problem.t
 val problems : t -> Problem.t list
@@ -137,7 +145,17 @@ val known_status : t -> int -> Constr.status
     argument was reassigned since, in which case [Consistent] (unknown). *)
 
 val known_violations : t -> int list
-(** Constraint ids with [known_status = Violated]. *)
+(** Constraint ids with [known_status = Violated], ascending. Read from
+    {!known_violated}. *)
+
+val known_violated : t -> bool array
+(** The known-violated set, indexed by constraint id: [true] exactly where
+    {!known_status} is [Violated]. The DPM keeps it up to date from the
+    status changes {!apply} and {!shift_requirement} compute; any other
+    change to the network (a setup {!run_propagation}, a direct edit)
+    triggers one rescan at the next read. The array is owned by the DPM:
+    callers must not mutate it, and it is only valid until the next
+    transition. *)
 
 val known_statuses : t -> (int * Constr.status) list
 (** [known_status] of every constraint, in network constraint order. The
@@ -162,7 +180,15 @@ val relaxed_feasible_group :
 
 val eligible_verifications : t -> designer:string -> int list
 (** Constraints the given designer could usefully verify now, respecting
-    the mode's eligibility rules and skipping fresh statuses. *)
+    the mode's eligibility rules and skipping fresh statuses: the
+    {!verification_eligible} constraints of its problems, ascending. *)
+
+val verification_eligible : t -> int -> bool
+(** Could the constraint usefully be verified now? Conventional mode only
+    ([false] in ADPM mode): its arguments are bound, its verified status
+    is not fresh, and a cross-subsystem constraint waits until every leaf
+    problem it involves is solved.
+    @raise Invalid_argument for an unknown constraint id. *)
 
 val subsystem_of_prop : t -> string -> int option
 (** Id of the top-level subproblem (child of the top problem) whose subtree

@@ -30,9 +30,9 @@ type t = {
   mutable next_cid : int;
   mutable n_rev : int;
   mutable n_struct : int;
-  (* Structural revision: bumped only by add_prop/add_constraint. The
-     derived views below are keyed on it rather than on [n_rev], which
-     also moves on every assignment and status update. *)
+  (* Structural revision: bumped only by add_prop/add_constraint/
+     declare_monotone. The derived views below are keyed on it rather than
+     on [n_rev], which also moves on every assignment and status update. *)
   mutable c_list_cache : (int * Constr.t list) option;
   mutable c_arr_cache : (int * Constr.t array) option;
   mutable adj_cache : (int * int array array) option;
@@ -73,6 +73,7 @@ let bump_struct t =
   bump t
 
 let revision t = t.n_rev
+let structure_revision t = t.n_struct
 let mark_dirty t name = Hashtbl.replace t.dirty name ()
 let dirty_props t = Hashtbl.fold (fun name () acc -> name :: acc) t.dirty []
 let clear_dirty t = Hashtbl.reset t.dirty
@@ -335,7 +336,7 @@ let mono_key cid prop = Printf.sprintf "%d/%s" cid prop
 
 let declare_monotone t cid prop dir =
   Hashtbl.replace t.declared_mono (mono_key cid prop) dir;
-  bump t
+  bump_struct t
 
 let diff_direction t c prop =
   match Hashtbl.find_opt t.declared_mono (mono_key c.Constr.id prop) with

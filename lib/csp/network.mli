@@ -49,6 +49,13 @@ val copy : t -> t
 
 val revision : t -> int
 
+val structure_revision : t -> int
+(** The structural revision: moves only on {!add_prop}, {!add_constraint}
+    and {!declare_monotone} — the edits that can change a constraint's
+    arguments or the direction {!helps_direction} reports. Layers that
+    compile per-structure views (the designers' decision tables) key them
+    on it. *)
+
 val dirty_props : t -> string list
 (** Properties assigned or unassigned since the last {!clear_dirty}
     (unspecified order). *)
@@ -123,9 +130,8 @@ val add_constraint : t -> name:string -> Expr.t -> Constr.rel -> Expr.t -> Const
     symbolic. *)
 
 val constraints : t -> Constr.t list
-(** Insertion order. Cached on the structural revision (the counter bumped
-    only by {!add_prop}/{!add_constraint}): repeated calls return the same
-    list physically until a constraint or property is added. *)
+(** Insertion order. Cached on {!structure_revision}: repeated calls
+    return the same list physically until the structure changes. *)
 
 val find_constraint : t -> int -> Constr.t
 (** @raise Invalid_argument for unknown ids, naming the id. *)
@@ -139,8 +145,7 @@ val constraints_of_prop : t -> string -> Constr.t list
 (** {1 Flat propagation views}
 
     Derived dense-id views used by the propagation hot path; all cached on
-    the structural revision and rebuilt only after {!add_prop} /
-    {!add_constraint}. *)
+    {!structure_revision}. *)
 
 val constraint_array : t -> Constr.t array
 (** All constraints, indexed by their (dense) constraint id. *)
@@ -177,7 +182,7 @@ val alpha : t -> string -> int
 val declare_monotone : t -> int -> string -> Monotone.direction -> unit
 (** DDDL-style declaration overriding the structural analysis: the recorded
     direction is that of the constraint's [diff] expression in the
-    property. *)
+    property. Moves {!structure_revision}. *)
 
 val helps_direction : t -> Constr.t -> string -> [ `Up | `Down | `None ]
 (** Which way to move the property's value to help satisfy the constraint

@@ -3,8 +3,8 @@ open Adpm_expr
 open Adpm_trace
 
 type outcome = {
-  feasible : (string * Domain.t) list;
-  statuses : (int * Constr.status) list;
+  feasible : Domain.t array;
+  statuses : Constr.status array;
   evaluations : int;
   revisions : int;
   fixpoint : bool;
@@ -260,34 +260,31 @@ let boxes_valid st k =
 
 (* The final classification sweep shared by both paths: status of every
    constraint on the contracted box (one evaluation each, a forward pass of
-   its kernel) plus the feasible subspace of every numeric property, both
-   in id order. *)
+   its kernel) plus the feasible subspace of every property, both indexed
+   by id. *)
 let classify net st empty_marks revisions =
   let carr = Network.constraint_array net and kernels = Network.kernels net in
-  let statuses = ref [] in
-  for cid = 0 to Array.length carr - 1 do
-    let k = kernels.(cid) in
-    let s =
-      if Hashtbl.mem empty_marks cid then Constr.Violated
-      else if boxes_valid st k then
-        Constr.status_of_kernel carr.(cid) k ~lo:st.lo ~hi:st.hi
-      else
-        (* a NaN or inverted bound: the boxed evaluation raises on it *)
-        let env name =
-          let pid = Network.prop_id net name in
-          if st.mask.(pid) then store_box st pid
-          else raise (Expr.Unbound_variable name)
-        in
-        Constr.status_on_box env carr.(cid)
-    in
-    statuses := (cid, s) :: !statuses
-  done;
-  let feasible = ref [] in
-  for pid = 0 to Network.prop_count net - 1 do
-    let p = Network.prop_by_id net pid in
-    if is_numeric p then feasible := (p.Network.p_name, feasible_of st p) :: !feasible
-  done;
-  (List.rev !statuses, List.rev !feasible, revisions + Array.length carr)
+  let statuses =
+    Array.mapi
+      (fun cid c ->
+        let k = kernels.(cid) in
+        if Hashtbl.mem empty_marks cid then Constr.Violated
+        else if boxes_valid st k then Constr.status_of_kernel c k ~lo:st.lo ~hi:st.hi
+        else
+          (* a NaN or inverted bound: the boxed evaluation raises on it *)
+          let env name =
+            let pid = Network.prop_id net name in
+            if st.mask.(pid) then store_box st pid
+            else raise (Expr.Unbound_variable name)
+          in
+          Constr.status_on_box env c)
+      carr
+  in
+  let feasible =
+    Array.init (Network.prop_count net) (fun pid ->
+        feasible_of st (Network.prop_by_id net pid))
+  in
+  (statuses, feasible, revisions + Array.length carr)
 
 (* [base_revisions] charges work done before this run to its counters: a
    full restart that replaces an aborted incremental attempt inherits the
@@ -447,8 +444,20 @@ let run_incremental ?(max_revisions = 10_000) ?(tracer = Tracer.null) net =
     end
 
 let apply net outcome =
-  List.iter (fun (name, d) -> Network.set_feasible net name d) outcome.feasible;
-  List.iter (fun (id, s) -> Network.set_status net id s) outcome.statuses
+  Array.iteri
+    (fun pid d ->
+      let p = Network.prop_by_id net pid in
+      if is_numeric p then Network.set_feasible net p.Network.p_name d)
+    outcome.feasible;
+  Array.iteri (fun cid s -> Network.set_status net cid s) outcome.statuses
+
+let numeric_feasible net outcome =
+  List.filter_map
+    (fun pid ->
+      let p = Network.prop_by_id net pid in
+      if is_numeric p then Some (p.Network.p_name, outcome.feasible.(pid))
+      else None)
+    (List.init (Array.length outcome.feasible) Fun.id)
 
 let run_incremental_and_apply ?max_revisions ?tracer net =
   let outcome = run_incremental ?max_revisions ?tracer net in

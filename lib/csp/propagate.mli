@@ -23,9 +23,11 @@ open Adpm_interval
 (** @see <../trace/tracer.mli> the emit-path contract. *)
 
 type outcome = {
-  feasible : (string * Domain.t) list;
-      (** Feasible subspace per numeric property. *)
-  statuses : (int * Constr.status) list;  (** Per constraint id. *)
+  feasible : Domain.t array;
+      (** Feasible subspace per property, indexed by dense prop id
+          ({!Network.prop_id}); a symbolic property's entry is its initial
+          domain. *)
+  statuses : Constr.status array;  (** Per constraint, indexed by id. *)
   evaluations : int;  (** Constraint evaluations performed. *)
   revisions : int;
       (** HC4 revisions performed (the evaluation total minus the final
@@ -92,7 +94,12 @@ val run_incremental :
     the DCM's propagation ({!Adpm_core.Dpm.run_propagation}). *)
 
 val apply : Network.t -> outcome -> unit
-(** Store feasible subspaces and statuses into the network. *)
+(** Store the numeric properties' feasible subspaces and every status into
+    the network. *)
+
+val numeric_feasible : Network.t -> outcome -> (string * Domain.t) list
+(** The numeric properties' feasible subspaces, named, in id order: a
+    reporting view of [outcome.feasible]. *)
 
 val run_incremental_and_apply :
   ?max_revisions:int ->

@@ -145,7 +145,7 @@ let consistency_ablation () =
               (Adpm_interval.Domain.relative_measure
                  ~initial:(Network.initial_domain net name)
                  d))
-        outcome.Propagate.feasible
+        (Propagate.numeric_feasible net outcome)
     in
     let mean =
       List.fold_left ( +. ) 0. windows /. float_of_int (List.length windows)

@@ -10,6 +10,47 @@ module Mailbox = Adpm_sim.Mailbox
    with whether it was this designer's own. *)
 type delivery = { dv_own : bool; dv_op : Operator.t; dv_result : Dpm.result }
 
+(* {2 The compiled decision view}
+
+   What f_a and f_v read about the design's structure — which numeric
+   outputs the designer's problems own, which of them a tool model derives,
+   and for every (constraint, output) pair how many of the constraint's
+   arguments vote for raising or lowering the output (directly, or through
+   the model of a derived argument) and whether the constraint reaches the
+   output at all — depends only on the network's structure, its monotone
+   declarations and initial hulls, and on the problem tree. It is compiled
+   once into dense tables indexed by local output index [li] (the output's
+   position in [v_outs]) and constraint id, and rebuilt only when
+   [Network.structure_revision] or [Dpm.problem_revision] moves.
+   Requirement shifts only assign, so they leave it valid. *)
+type view = {
+  v_net : Network.t;
+  v_struct : int;
+  v_probs : int;
+  v_ncons : int;
+  v_outs : string array; (* owned numeric outputs, sorted *)
+  v_index : (string, int) Hashtbl.t; (* output name -> li *)
+  v_derived : bool array; (* computed by a tool model *)
+  v_models : Expr.t array; (* the model of each derived output *)
+  v_hulls : Interval.t option array; (* initial hulls, clamp tool results *)
+  (* per [li * v_ncons + cid]: the constraint's arguments voting Up / Down
+     for the output, and whether the constraint reaches it *)
+  v_up : int array;
+  v_down : int array;
+  v_touch : bool array;
+  v_touches : int array; (* per li: constraints reaching it *)
+  v_up_total : int array; (* per li: Up votes over every constraint *)
+  v_down_total : int array;
+  v_unpin : int list array; (* per li: derived outputs whose model mentions it *)
+  v_owned : (Problem.t * int array) list;
+      (* owned problems in DPM order, each with its numeric outputs' li *)
+  (* scratch: outputs of this turn's addressable problems, and the values
+     [recompute_derived] has computed *)
+  v_active : bool array;
+  v_done : bool array;
+  v_vals : float array;
+}
+
 type t = {
   d_name : string;
   cfg : Config.t;
@@ -33,8 +74,11 @@ type t = {
      live view only under a nonzero notification latency, where the two
      can disagree (staleness is the phenomenon being modelled) *)
   believed : (int, Constr.status) Hashtbl.t;
+  (* [believed] as violated flags by constraint id *)
+  mutable believed_violated : bool array;
   (* queued NM deliveries, drained at the start of the next turn *)
   inbox : delivery Mailbox.t;
+  mutable view : view option;
 }
 
 let create cfg ~rng ~models name =
@@ -49,7 +93,9 @@ let create cfg ~rng ~models name =
     last_synthesis = None;
     failed_repairs = Hashtbl.create 16;
     believed = Hashtbl.create 64;
+    believed_violated = [||];
     inbox = Mailbox.create ();
+    view = None;
   }
 
 let name d = d.d_name
@@ -64,11 +110,20 @@ let delayed_view d =
   d.cfg.Config.latency > 0
   || not (Adpm_fault.Fault.is_none d.cfg.Config.faults)
 
-let believed_status d cid =
-  try Hashtbl.find d.believed cid with Not_found -> Constr.Consistent
+let believed_flags d n =
+  let len = Array.length d.believed_violated in
+  if len < n then begin
+    let grown = Array.make (max n (2 * len)) false in
+    Array.blit d.believed_violated 0 grown 0 len;
+    d.believed_violated <- grown
+  end;
+  d.believed_violated
 
-let learn_statuses d statuses =
-  List.iter (fun (cid, s) -> Hashtbl.replace d.believed cid s) statuses
+let believe d cid s =
+  Hashtbl.replace d.believed cid s;
+  (believed_flags d (cid + 1)).(cid) <- s = Constr.Violated
+
+let learn_statuses d statuses = List.iter (fun (cid, s) -> believe d cid s) statuses
 
 let believed_snapshot d =
   Hashtbl.fold (fun cid s acc -> (cid, s) :: acc) d.believed []
@@ -80,6 +135,7 @@ let believed_snapshot d =
    the shared database (Section 3.1.1), not in the designer's head. *)
 let restart d =
   Hashtbl.reset d.believed;
+  Array.fill d.believed_violated 0 (Array.length d.believed_violated) false;
   Hashtbl.reset d.repair_memory;
   Hashtbl.reset d.pending_reverify;
   Hashtbl.reset d.failed_repairs;
@@ -93,161 +149,260 @@ let is_tabu d prop value =
 
 let is_derived d prop = List.mem_assoc prop d.models
 
-(* f_p: assigned problems that are not Waiting. *)
-let addressable_problems d dpm =
-  List.filter
-    (fun p -> p.Problem.pr_status <> Problem.Waiting)
-    (Dpm.problems_owned_by dpm d.d_name)
-
-let numeric_outputs dpm p =
-  let net = Dpm.network dpm in
-  List.filter
-    (fun o ->
-      Network.mem_prop net o
-      && Domain.is_numeric (Network.initial_domain net o))
-    p.Problem.pr_outputs
-
-let my_outputs dpm probs =
-  List.sort_uniq compare (List.concat_map (numeric_outputs dpm) probs)
-
-(* Design parameters: outputs the designer assigns directly (not computed
-   by a tool model). *)
-let free_outputs d dpm probs =
-  List.filter (fun o -> not (is_derived d o)) (my_outputs dpm probs)
-
-let derived_outputs d dpm probs =
-  List.filter (fun o -> is_derived d o) (my_outputs dpm probs)
-
 let initial_hull_env net prop =
   match Domain.hull (Network.initial_domain net prop) with
   | Some iv -> iv
   | None -> raise Not_found
 
-(* Direction (as seen from parameter [x]) in which moving [x] helps satisfy
-   constraint [c], routing through the model of a derived argument when
-   needed. *)
-let helps_through_models d dpm c x =
+(* Which way moving [x] helps, given that moving a derived argument
+   [outer] helps and the argument's model has monotonicity [inner] in [x]. *)
+let compose outer inner =
+  match (outer, inner) with
+  | `None, _ -> `None
+  | _, (Monotone.Constant | Monotone.Unknown) -> `None
+  | `Up, Monotone.Increasing | `Down, Monotone.Decreasing -> `Up
+  | `Up, Monotone.Decreasing | `Down, Monotone.Increasing -> `Down
+
+(* Every argument of every constraint votes for the output it is (its
+   [Network.helps_direction]) and, when a tool model derives it, for every
+   other output its model mentions (composed through the model). *)
+let compile d dpm =
   let net = Dpm.network dpm in
-  let compose outer inner =
-    match (outer, inner) with
-    | `None, _ -> `None
-    | _, (Monotone.Constant | Monotone.Unknown) -> `None
-    | `Up, Monotone.Increasing | `Down, Monotone.Decreasing -> `Up
-    | `Up, Monotone.Decreasing | `Down, Monotone.Increasing -> `Down
+  let numeric o =
+    Network.mem_prop net o && Domain.is_numeric (Network.initial_domain net o)
   in
-  List.filter_map
-    (fun arg ->
-      if String.equal arg x then
-        match Network.helps_direction net c arg with
-        | `None -> None
-        | (`Up | `Down) as dir -> Some dir
-      else
-        match List.assoc_opt arg d.models with
-        | Some model when Expr.mentions model x -> (
-          let inner =
-            try Monotone.direction ~env:(initial_hull_env net) model x
-            with Not_found -> Monotone.Unknown
-          in
-          match compose (Network.helps_direction net c arg) inner with
-          | `None -> None
-          | (`Up | `Down) as dir -> Some dir)
-        | Some _ | None -> None)
-    (Constr.args c)
-
-(* Does constraint [c] reach parameter [x] directly or through a model? *)
-let touches_through_models d c x =
-  List.exists
-    (fun arg ->
-      String.equal arg x
-      ||
-      match List.assoc_opt arg d.models with
-      | Some model -> Expr.mentions model x
-      | None -> false)
-    (Constr.args c)
-
-let known_violated_constraints d dpm =
-  let violated =
-    if delayed_view d then fun c -> believed_status d c.Constr.id = Constr.Violated
-    else fun c -> Dpm.known_status dpm c.Constr.id = Constr.Violated
+  let owned = Dpm.problems_owned_by dpm d.d_name in
+  let outs =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.concat_map
+            (fun p -> List.filter numeric p.Problem.pr_outputs)
+            owned))
   in
-  List.filter violated (Network.constraints (Dpm.network dpm))
+  let n = Array.length outs in
+  let index = Hashtbl.create (2 * n + 1) in
+  Array.iteri (fun li o -> Hashtbl.replace index o li) outs;
+  let models =
+    Array.map
+      (fun o -> Option.value ~default:(Expr.Const 0.) (List.assoc_opt o d.models))
+      outs
+  in
+  let carr = Network.constraint_array net in
+  let ncons = Array.length carr in
+  let up = Array.make (n * ncons) 0 and down = Array.make (n * ncons) 0 in
+  let touch = Array.make (n * ncons) false in
+  let vote li cid dir =
+    let k = (li * ncons) + cid in
+    touch.(k) <- true;
+    match dir with
+    | `Up -> up.(k) <- up.(k) + 1
+    | `Down -> down.(k) <- down.(k) + 1
+    | `None -> ()
+  in
+  Array.iter
+    (fun c ->
+      let cid = c.Constr.id in
+      List.iter
+        (fun arg ->
+          (match Hashtbl.find_opt index arg with
+          | Some li -> vote li cid (Network.helps_direction net c arg)
+          | None -> ());
+          match List.assoc_opt arg d.models with
+          | None -> ()
+          | Some model ->
+            Array.iteri
+              (fun li x ->
+                if (not (String.equal x arg)) && Expr.mentions model x then begin
+                  let inner =
+                    try Monotone.direction ~env:(initial_hull_env net) model x
+                    with Not_found -> Monotone.Unknown
+                  in
+                  vote li cid (compose (Network.helps_direction net c arg) inner)
+                end)
+              outs)
+        (Constr.args c))
+    carr;
+  let per_li f =
+    Array.init n (fun li ->
+        let acc = ref 0 in
+        for cid = 0 to ncons - 1 do
+          acc := !acc + f ((li * ncons) + cid)
+        done;
+        !acc)
+  in
+  let derived = Array.map (fun o -> List.mem_assoc o d.models) outs in
+  {
+    v_net = net;
+    v_struct = Network.structure_revision net;
+    v_probs = Dpm.problem_revision dpm;
+    v_ncons = ncons;
+    v_outs = outs;
+    v_index = index;
+    v_derived = derived;
+    v_models = models;
+    v_hulls = Array.map (fun o -> Domain.hull (Network.initial_domain net o)) outs;
+    v_up = up;
+    v_down = down;
+    v_touch = touch;
+    v_touches = per_li (fun k -> if touch.(k) then 1 else 0);
+    v_up_total = per_li (fun k -> up.(k));
+    v_down_total = per_li (fun k -> down.(k));
+    v_unpin =
+      Array.map
+        (fun x ->
+          List.filter
+            (fun lj -> derived.(lj) && Expr.mentions models.(lj) x)
+            (List.init n Fun.id))
+        outs;
+    v_owned =
+      List.map
+        (fun p ->
+          ( p,
+            Array.of_list
+              (List.filter_map
+                 (fun o -> if numeric o then Some (Hashtbl.find index o) else None)
+                 p.Problem.pr_outputs) ))
+        owned;
+    v_active = Array.make n false;
+    v_done = Array.make n false;
+    v_vals = Array.make n 0.;
+  }
 
-(* Repair votes for parameter [x]: how many known violations a move up
+let view d dpm =
+  let net = Dpm.network dpm in
+  match d.view with
+  | Some v
+    when v.v_net == net
+         && v.v_struct = Network.structure_revision net
+         && v.v_probs = Dpm.problem_revision dpm ->
+    v
+  | Some _ | None ->
+    let v = compile d dpm in
+    d.view <- Some v;
+    v
+
+let touches v li cid = v.v_touch.((li * v.v_ncons) + cid)
+
+(* f_p: assigned problems that are not Waiting. Marks their outputs
+   active for the rest of the turn. *)
+let addressable_problems v =
+  Array.fill v.v_active 0 (Array.length v.v_active) false;
+  let probs =
+    List.filter (fun (p, _) -> p.Problem.pr_status <> Problem.Waiting) v.v_owned
+  in
+  List.iter
+    (fun (_, lis) -> Array.iter (fun li -> v.v_active.(li) <- true) lis)
+    probs;
+  probs
+
+(* Active outputs, ascending, that are (not) tool-derived. *)
+let active_outputs v ~derived =
+  let acc = ref [] in
+  for li = Array.length v.v_outs - 1 downto 0 do
+    if v.v_active.(li) && v.v_derived.(li) = derived then acc := li :: !acc
+  done;
+  !acc
+
+(* Design parameters: outputs the designer assigns directly (not computed
+   by a tool model). *)
+let free_outputs v = active_outputs v ~derived:false
+
+(* The known violations this designer acts on, as flags by constraint id:
+   the DPM's live set, or under a delayed view the believed table's. *)
+let violated d dpm v =
+  if delayed_view d then believed_flags d v.v_ncons else Dpm.known_violated dpm
+
+let any_violated v kv =
+  let rec go cid = cid < v.v_ncons && (kv.(cid) || go (cid + 1)) in
+  go 0
+
+(* Known violations reaching output [li], ascending. *)
+let motivated_for v kv li =
+  let acc = ref [] in
+  for cid = v.v_ncons - 1 downto 0 do
+    if kv.(cid) && touches v li cid then acc := cid :: !acc
+  done;
+  !acc
+
+(* Repair votes for parameter [li]: how many known violations a move up
    (resp. down) would help fix, counting model-mediated influence. *)
-let repair_votes d dpm x =
-  List.fold_left
-    (fun (up, down, alpha) c ->
-      if touches_through_models d c x then begin
-        let dirs = helps_through_models d dpm c x in
-        let up' = List.length (List.filter (fun dir -> dir = `Up) dirs) in
-        let down' = List.length (List.filter (fun dir -> dir = `Down) dirs) in
-        (up + min 1 up', down + min 1 down', alpha + 1)
-      end
-      else (up, down, alpha))
-    (0, 0, 0)
-    (known_violated_constraints d dpm)
+let repair_votes v kv li =
+  let up = ref 0 and down = ref 0 and alpha = ref 0 in
+  let base = li * v.v_ncons in
+  for cid = 0 to v.v_ncons - 1 do
+    if kv.(cid) && v.v_touch.(base + cid) then begin
+      incr alpha;
+      if v.v_up.(base + cid) > 0 then incr up;
+      if v.v_down.(base + cid) > 0 then incr down
+    end
+  done;
+  (!up, !down, !alpha)
 
 (* {2 Tool emulation}
 
-   Recompute every derived output whose model inputs are available, to a
-   fixpoint (models may reference other derived properties). [extra]
-   overrides the network's current assignments. *)
-let recompute_derived d dpm probs extra =
+   Recompute every derived output of the addressable problems whose model
+   inputs are available, to a fixpoint (models may reference other derived
+   properties). [extra] overrides the network's current assignment of one
+   property. Returns the computed outputs whose value differs from the
+   network's, ascending. *)
+let recompute_derived dpm v ?extra () =
   let net = Dpm.network dpm in
-  let values : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun prop ->
-      match Network.assigned_num net prop with
-      | Some v -> Hashtbl.replace values prop v
-      | None -> ())
-    (Network.prop_names net);
-  List.iter (fun (prop, v) -> Hashtbl.replace values prop v) extra;
-  let targets = derived_outputs d dpm probs in
-  let computed : (string, float) Hashtbl.t = Hashtbl.create 16 in
+  let targets = active_outputs v ~derived:true in
+  List.iter (fun li -> v.v_done.(li) <- false) targets;
+  let rec lookup name = function
+    | li :: rest ->
+      if v.v_done.(li) && String.equal v.v_outs.(li) name then Some v.v_vals.(li)
+      else lookup name rest
+    | [] -> (
+      match extra with
+      | Some (prop, x) when String.equal prop name -> Some x
+      | Some _ | None -> (
+        try Network.assigned_num net name with Invalid_argument _ -> None))
+  in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
-      (fun prop ->
-        if not (Hashtbl.mem computed prop) then begin
-          let model = List.assoc prop d.models in
-          let lookup v = Hashtbl.find_opt values v in
-          match Expr.eval_opt lookup model with
+      (fun li ->
+        if not v.v_done.(li) then
+          match Expr.eval_opt (fun name -> lookup name targets) v.v_models.(li) with
           | Some raw when Float.is_finite raw ->
             (* the tool's output is clamped to the property's legal range *)
             let value =
-              match Domain.hull (Network.initial_domain net prop) with
+              match v.v_hulls.(li) with
               | Some hull ->
                 Float.min (Interval.hi hull) (Float.max (Interval.lo hull) raw)
               | None -> raw
             in
-            Hashtbl.replace computed prop value;
-            Hashtbl.replace values prop value;
+            v.v_vals.(li) <- value;
+            v.v_done.(li) <- true;
             progress := true
-          | Some _ | None -> ()
-        end)
+          | Some _ | None -> ())
       targets
   done;
   List.filter_map
-    (fun prop ->
-      match Hashtbl.find_opt computed prop with
-      | Some v when Network.assigned_num net prop <> Some v ->
-        Some (prop, Value.Num v)
-      | Some _ | None -> None)
+    (fun li ->
+      if v.v_done.(li) && Network.assigned_num net v.v_outs.(li) <> Some v.v_vals.(li)
+      then Some (li, v.v_vals.(li))
+      else None)
     targets
 
-let problem_of_output dpm probs prop =
-  List.find_opt (fun p -> List.mem prop (numeric_outputs dpm p)) probs
+let assignments v outputs =
+  List.map (fun (li, x) -> (v.v_outs.(li), Value.Num x)) outputs
 
-let synthesis_op d dpm probs ?(motivated_by = []) prop v =
-  match problem_of_output dpm probs prop with
+let problem_of_output probs li =
+  Option.map fst (List.find_opt (fun (_, lis) -> Array.mem li lis) probs)
+
+let synthesis_op d dpm v probs ?(motivated_by = []) li x =
+  match problem_of_output probs li with
   | None -> None
   | Some p ->
-    let derived = recompute_derived d dpm probs [ (prop, v) ] in
+    let prop = v.v_outs.(li) in
+    let derived = recompute_derived dpm v ~extra:(prop, x) () in
     Some
       (Operator.synthesis ~motivated_by ~designer:d.d_name
          ~problem:p.Problem.pr_id
-         ((prop, Value.Num v) :: derived))
+         ((prop, Value.Num x) :: assignments v derived))
 
 (* {2 Value selection helpers} *)
 
@@ -295,19 +450,11 @@ let pick_from_domain d prop dom direction =
 (* The feasible-endpoint choice of f_v for forward synthesis: the top or
    bottom value according to which direction helps satisfy the most
    connected constraints (counting model-mediated connections). *)
-let endpoint_from_votes d dpm prop dom =
-  let net = Dpm.network dpm in
-  let up, down =
-    if not d.cfg.Config.use_monotone_hints then (0, 0)
-    else
-      List.fold_left
-        (fun (u, w) c ->
-          let dirs = helps_through_models d dpm c prop in
-          ( u + List.length (List.filter (fun dir -> dir = `Up) dirs),
-            w + List.length (List.filter (fun dir -> dir = `Down) dirs) ))
-        (0, 0)
-        (Network.constraints net)
-  in
+let endpoint_from_votes d v li dom =
+  let prop = v.v_outs.(li) in
+  let hints = d.cfg.Config.use_monotone_hints in
+  let up = if hints then v.v_up_total.(li) else 0 in
+  let down = if hints then v.v_down_total.(li) else 0 in
   (* top or bottom of the feasible window per the votes, pulled slightly
      inside (with a little designer-to-designer jitter) so a boundary
      choice does not immediately pinch the margins of the other designers'
@@ -330,17 +477,17 @@ let endpoint_from_votes d dpm prop dom =
    requirement shift has margin to land in. Unbound teammate parameters
    are assumed at the middle of their feasible windows; each constraint
    check is charged as one tool evaluation. *)
-let headroom_from_votes d dpm probs prop dom =
+let headroom_from_votes d dpm v li dom =
   let net = Dpm.network dpm in
-  let connected =
-    List.filter (fun c -> touches_through_models d c prop)
-      (Network.constraints net)
-  in
-  if connected = [] then None
+  let prop = v.v_outs.(li) in
+  if v.v_touches.(li) = 0 then None
   else begin
+    let connected =
+      List.filter (fun c -> touches v li c.Constr.id) (Network.constraints net)
+    in
     let candidates =
       List.filter
-        (fun v -> not (is_tabu d prop v))
+        (fun x -> not (is_tabu d prop x))
         (List.sort_uniq compare
            (List.filter_map (quantile_of_domain dom)
               [ 0.1; 0.3; 0.5; 0.7; 0.9 ]))
@@ -354,16 +501,18 @@ let headroom_from_votes d dpm probs prop dom =
         | Some iv when Interval.is_bounded iv -> Some (Interval.midpoint iv)
         | _ -> None)
     in
-    let score v =
-      let derived = recompute_derived d dpm probs [ (prop, v) ] in
+    let score x =
+      let derived = recompute_derived dpm v ~extra:(prop, x) () in
       let lookup name =
-        if String.equal name prop then Some v
+        if String.equal name prop then Some x
         else
-          match List.assoc_opt name derived with
-          | Some (Value.Num x) -> Some x
-          | Some (Value.Sym _) | None -> (
+          match
+            List.find_opt (fun (lj, _) -> String.equal v.v_outs.(lj) name) derived
+          with
+          | Some (_, y) -> Some y
+          | None -> (
             match Network.assigned_num net name with
-            | Some x -> Some x
+            | Some y -> Some y
             | None -> midpoint name)
       in
       let worst =
@@ -395,13 +544,13 @@ let headroom_from_votes d dpm probs prop dom =
     in
     let best =
       List.fold_left
-        (fun acc v ->
-          match score v with
+        (fun acc x ->
+          match score x with
           | None -> acc
           | Some s -> (
             match acc with
             | Some (_, best_s) when best_s >= s -> acc
-            | _ -> Some (v, s)))
+            | _ -> Some (x, s)))
         None candidates
     in
     Dpm.charge_evaluations dpm !evals;
@@ -474,40 +623,38 @@ let verification_op d dpm probs =
   match Dpm.mode dpm with
   | Dpm.Adpm -> None
   | Dpm.Conventional -> (
-    let eligible = Dpm.eligible_verifications dpm ~designer:d.d_name in
-    match eligible with
+    let candidates =
+      List.filter_map
+        (fun (p, _) ->
+          match
+            List.filter (Dpm.verification_eligible dpm) p.Problem.pr_constraints
+          with
+          | [] -> None
+          | cids -> Some (p, cids))
+        probs
+    in
+    match candidates with
     | [] -> None
     | _ ->
-      let candidates =
-        List.filter_map
-          (fun p ->
-            let cids =
-              List.filter (fun c -> List.mem c eligible) p.Problem.pr_constraints
-            in
-            match cids with [] -> None | _ -> Some (p, cids))
-          probs
+      let p, cids = Rng.pick d.rng candidates in
+      let motivated_by =
+        List.filter (fun cid -> Hashtbl.mem d.pending_reverify cid) cids
       in
-      (match candidates with
-      | [] -> None
-      | _ ->
-        let p, cids = Rng.pick d.rng candidates in
-        let motivated_by =
-          List.filter (fun cid -> Hashtbl.mem d.pending_reverify cid) cids
-        in
-        Some
-          (Operator.verification ~motivated_by ~designer:d.d_name
-             ~problem:p.Problem.pr_id cids)))
+      Some
+        (Operator.verification ~motivated_by ~designer:d.d_name
+           ~problem:p.Problem.pr_id cids))
 
 (* Repair: f_a picks the parameter whose single directed move is likely to
    fix the most known violations; f_v picks its new value. *)
-let repair_op d dpm probs =
-  let params = free_outputs d dpm probs in
-  let votes = List.map (fun x -> (x, repair_votes d dpm x)) params in
+let repair_op d dpm v probs =
+  let kv = violated d dpm v in
+  let params = free_outputs v in
+  let votes = List.map (fun li -> (li, repair_votes v kv li)) params in
   let candidates = List.filter (fun (_, (_, _, a)) -> a > 0) votes in
   match candidates with
   | [] -> None
   | _ ->
-    let score (prop, (up, down, alpha)) =
+    let score (li, (up, down, alpha)) =
       if d.cfg.Config.use_alpha_repair then begin
         (* primary: violations fixable by one directed move, discounted
            when other violations pull the opposite way and when recent
@@ -519,7 +666,7 @@ let repair_op d dpm probs =
         in
         let fatigue =
           float_of_int
-            (try Hashtbl.find d.failed_repairs prop with Not_found -> 0)
+            (try Hashtbl.find d.failed_repairs v.v_outs.(li) with Not_found -> 0)
         in
         -.(fixable -. fatigue +. (float_of_int alpha /. 1000.))
       end
@@ -537,17 +684,12 @@ let repair_op d dpm probs =
       else if Rng.bool d.rng then `Up
       else `Down
     in
-    let motivated_for x =
-      List.filter_map
-        (fun c ->
-          if touches_through_models d c x then Some c.Constr.id else None)
-        (known_violated_constraints d dpm)
-    in
-    let repair_value prop direction =
+    let repair_value li direction =
       let net = Dpm.network dpm in
+      let prop = v.v_outs.(li) in
       let current = Network.assigned_num net prop in
       let differs = function
-        | Some v when current <> Some v -> Some v
+        | Some x when current <> Some x -> Some x
         | Some _ | None -> None
       in
       match Dpm.mode dpm with
@@ -555,19 +697,16 @@ let repair_op d dpm probs =
         (* constraint-margin window for the parameter, letting its
            dependent performance properties move with it *)
         let unpin =
-          List.filter
-            (fun p ->
-              match List.assoc_opt p d.models with
-              | Some model -> Expr.mentions model prop
-              | None -> false)
-            (my_outputs dpm probs)
+          List.filter_map
+            (fun lj -> if v.v_active.(lj) then Some v.v_outs.(lj) else None)
+            v.v_unpin.(li)
         in
         let dom = Dpm.relaxed_feasible_group dpm ~target:prop ~unpin in
         match differs (pick_from_domain d prop dom direction) with
-        | Some v when not (is_tabu d prop v) -> Some v
+        | Some x when not (is_tabu d prop x) -> Some x
         | Some _ | None -> (
           match differs (random_in_domain d dom) with
-          | Some v -> Some v
+          | Some x -> Some x
           | None -> delta_move d dpm prop direction))
       | Dpm.Adpm | Dpm.Conventional -> delta_move d dpm prop direction
     in
@@ -577,14 +716,15 @@ let repair_op d dpm probs =
       let net = Dpm.network dpm in
       let viable =
         List.filter_map
-          (fun (prop, _) ->
+          (fun (li, _) ->
+            let prop = v.v_outs.(li) in
             let current = Network.assigned_num net prop in
             let rec draw tries =
               if tries = 0 then None
               else
                 match random_in_domain d (Network.initial_domain net prop) with
-                | Some v when current <> Some v && not (is_tabu d prop v) ->
-                  Some (prop, v)
+                | Some x when current <> Some x && not (is_tabu d prop x) ->
+                  Some (li, x)
                 | Some _ | None -> draw (tries - 1)
             in
             draw 8)
@@ -596,43 +736,44 @@ let repair_op d dpm probs =
       | [] -> (
         match random_restart () with
         | None -> None
-        | Some (prop, v) ->
-          synthesis_op d dpm probs ~motivated_by:(motivated_for prop) prop v)
-      | (prop, (up, down, _)) :: rest -> (
+        | Some (li, x) ->
+          synthesis_op d dpm v probs ~motivated_by:(motivated_for v kv li) li x)
+      | (li, (up, down, _)) :: rest -> (
         let direction = direction_for (up, down) in
-        match repair_value prop direction with
+        match repair_value li direction with
         | None -> try_candidates rest
-        | Some v ->
-          synthesis_op d dpm probs ~motivated_by:(motivated_for prop) prop v)
+        | Some x ->
+          synthesis_op d dpm v probs ~motivated_by:(motivated_for v kv li) li x)
     in
     try_candidates ranked
 
 (* Forward progress: f_a picks the unbound parameter with the smallest
    feasible subspace (ADPM) or a random one (conventional); f_v picks the
    value. *)
-let forward_op d dpm probs =
+let forward_op d dpm v probs =
   let net = Dpm.network dpm in
   let unbound =
-    List.filter (fun p -> not (Network.is_bound net p)) (free_outputs d dpm probs)
+    List.filter
+      (fun li -> not (Network.is_bound net v.v_outs.(li)))
+      (free_outputs v)
   in
   match unbound with
   | [] -> (
     (* all parameters placed: run the tool once more if some performance
        property is still uncomputed *)
-    let stale = recompute_derived d dpm probs [] in
+    let stale = recompute_derived dpm v () in
     let pending =
-      List.filter
-        (fun (prop, _) -> not (Network.is_bound net prop))
-        stale
+      List.filter (fun (li, _) -> not (Network.is_bound net v.v_outs.(li))) stale
     in
     match pending with
     | [] -> None
-    | (prop, _) :: _ -> (
-      match problem_of_output dpm probs prop with
+    | (li, _) :: _ -> (
+      match problem_of_output probs li with
       | None -> None
       | Some p ->
         Some
-          (Operator.synthesis ~designer:d.d_name ~problem:p.Problem.pr_id stale)))
+          (Operator.synthesis ~designer:d.d_name ~problem:p.Problem.pr_id
+             (assignments v stale))))
   | _ ->
     let pick_by score =
       match
@@ -645,25 +786,23 @@ let forward_op d dpm probs =
     let target =
       match (d.cfg.Config.forward_ordering, Dpm.mode dpm) with
       | Config.Smallest_subspace, Dpm.Adpm ->
-        pick_by (fun prop ->
-            match Dpm.heuristic_info dpm prop with
-            | Some info -> info.Heuristic_data.hi_relative_size
-            | None -> 1.)
+        (* the mined relative size of v_F (Heuristic_data.hi_relative_size) *)
+        pick_by (fun li ->
+            let prop = v.v_outs.(li) in
+            Domain.relative_measure
+              ~initial:(Network.initial_domain net prop)
+              (Network.feasible net prop))
       | Config.Most_constrained, (Dpm.Adpm | Dpm.Conventional) ->
         (* constraint membership is static knowledge, available either way;
            count model-mediated membership too (the 2.3.2 extension) *)
-        pick_by (fun prop ->
-            -.float_of_int
-                (List.length
-                   (List.filter
-                      (fun c -> touches_through_models d c prop)
-                      (Network.constraints net))))
+        pick_by (fun li -> -.float_of_int v.v_touches.(li))
       | (Config.Smallest_subspace | Config.Random_target), _ ->
         Some (Rng.pick d.rng unbound)
     in
     (match target with
     | None -> None
-    | Some prop ->
+    | Some li ->
+      let prop = v.v_outs.(li) in
       let value =
         match Dpm.mode dpm with
         | Dpm.Adpm -> (
@@ -674,14 +813,14 @@ let forward_op d dpm probs =
           else
             let vote =
               match d.cfg.Config.value_policy with
-              | Config.Endpoint -> endpoint_from_votes d dpm prop feasible
+              | Config.Endpoint -> endpoint_from_votes d v li feasible
               | Config.Headroom -> (
-                match headroom_from_votes d dpm probs prop feasible with
-                | Some v -> Some v
-                | None -> endpoint_from_votes d dpm prop feasible)
+                match headroom_from_votes d dpm v li feasible with
+                | Some x -> Some x
+                | None -> endpoint_from_votes d v li feasible)
             in
             match vote with
-            | Some v -> Some v
+            | Some x -> Some x
             | None -> random_in_domain d (Network.initial_domain net prop))
         | Dpm.Conventional ->
           (* no feasibility information: an engineering guess from the
@@ -692,7 +831,7 @@ let forward_op d dpm probs =
       in
       (match value with
       | None -> None
-      | Some v -> synthesis_op d dpm probs prop v))
+      | Some x -> synthesis_op d dpm v probs li x))
 
 (* Which of f_a's orderings actually drives forward target selection for
    this configuration and mode (the fallbacks in [forward_op]). *)
@@ -726,14 +865,15 @@ let trace_decision d dpm heuristic op =
   end
 
 let choose_operation d dpm =
-  let probs = addressable_problems d dpm in
+  let v = view d dpm in
+  let probs = addressable_problems v in
   match probs with
   | [] -> None
   | _ -> (
-    let violations_known = known_violated_constraints d dpm <> [] in
+    let violations_known = any_violated v (violated d dpm v) in
     let chosen =
       if violations_known then
-        match repair_op d dpm probs with
+        match repair_op d dpm v probs with
         | Some op -> Some (Event.Conflict_resolution, op)
         | None -> (
           match verification_op d dpm probs with
@@ -741,9 +881,9 @@ let choose_operation d dpm =
           | None ->
             Option.map
               (fun op -> (forward_heuristic d dpm, op))
-              (forward_op d dpm probs))
+              (forward_op d dpm v probs))
       else
-        match forward_op d dpm probs with
+        match forward_op d dpm v probs with
         | Some op -> Some (forward_heuristic d dpm, op)
         | None ->
           Option.map
@@ -756,18 +896,19 @@ let choose_operation d dpm =
       trace_decision d dpm heuristic op;
       Some op)
 
-let synthesis_with_tools d dpm prop v =
-  let probs = addressable_problems d dpm in
-  let motivated_by =
-    List.filter_map
-      (fun c ->
-        if touches_through_models d c prop then Some c.Constr.id else None)
-      (known_violated_constraints d dpm)
-  in
-  synthesis_op d dpm probs ~motivated_by prop v
+let synthesis_with_tools d dpm prop x =
+  let v = view d dpm in
+  let probs = addressable_problems v in
+  (* a property that is not one of my numeric outputs has no addressable
+     problem to synthesize it in *)
+  match Hashtbl.find_opt v.v_index prop with
+  | None -> None
+  | Some li ->
+    let motivated_by = motivated_for v (violated d dpm v) li in
+    synthesis_op d dpm v probs ~motivated_by li x
 
 let request_verification d dpm =
-  verification_op d dpm (addressable_problems d dpm)
+  verification_op d dpm (addressable_problems (view d dpm))
 
 let observe d dpm ~own op result =
   (* Every delivered outcome updates the believed constraint statuses —
@@ -775,7 +916,7 @@ let observe d dpm ~own op result =
      conventional-mode freshness decays (Violated fading back to
      Consistent) that the violated/resolved lists omit. *)
   List.iter
-    (fun (cid, _old, status) -> Hashtbl.replace d.believed cid status)
+    (fun (cid, _old, status) -> believe d cid status)
     result.Dpm.r_status_changes;
   match op.Operator.op_kind with
   | Operator.Synthesis assignments when own ->
@@ -810,12 +951,11 @@ let observe d dpm ~own op result =
        Attribute fresh violations touching my last assignment to it (the
        design-history consultation, Section 3.1.1 footnote). *)
     let touches_last prop =
-      List.exists
-        (fun cid ->
-          touches_through_models d
-            (Network.find_constraint (Dpm.network dpm) cid)
-            prop)
-        result.Dpm.r_newly_violated
+      let v = view d dpm in
+      match Hashtbl.find_opt v.v_index prop with
+      | None -> false
+      | Some li ->
+        List.exists (fun cid -> touches v li cid) result.Dpm.r_newly_violated
     in
     (if d.cfg.Config.use_history_tabu then
        match d.last_synthesis with
@@ -841,6 +981,21 @@ let observe d dpm ~own op result =
     | None -> ());
     List.iter (fun cid -> Hashtbl.remove d.pending_reverify cid) cids
   | Operator.Synthesis _ | Operator.Decompose _ -> ()
+
+(* {2 Inspection} *)
+
+let compiled_votes d dpm ~cid prop =
+  let v = view d dpm in
+  Option.map
+    (fun li ->
+      let k = (li * v.v_ncons) + cid in
+      (v.v_up.(k), v.v_down.(k), v.v_touch.(k)))
+    (Hashtbl.find_opt v.v_index prop)
+
+let known_violated_ids d dpm =
+  let v = view d dpm in
+  let kv = violated d dpm v in
+  List.filter (fun cid -> kv.(cid)) (List.init v.v_ncons Fun.id)
 
 (* {2 Mailbox} *)
 

@@ -88,6 +88,29 @@ val observe : t -> Dpm.t -> own:bool -> Operator.t -> Dpm.result -> unit
     one run by the team leader at integration) and adapts the repair
     step. *)
 
+(** {1 Inspection hooks}
+
+    Read-only views of the designer's compiled decision inputs, for tests
+    that check them against on-demand references. *)
+
+val compiled_votes :
+  t -> Dpm.t -> cid:int -> string -> (int * int * bool) option
+(** The decision view's entry for constraint [cid] and output [prop]:
+    [(up, down, touches)], where [up] ([down]) counts the constraint's
+    arguments whose constraint-monotonicity says raising (lowering) [prop]
+    helps satisfy it — the argument itself, or a derived argument whose
+    tool model mentions [prop], its direction composed with the model's
+    monotonicity in [prop] over the initial hulls — and [touches] says
+    whether the constraint reaches [prop] directly or through such a
+    model. [None] when [prop] is not a numeric output of one of the
+    designer's problems. The view is compiled once per network structure
+    and problem tree, and rebuilt when either changes. *)
+
+val known_violated_ids : t -> Dpm.t -> int list
+(** The constraint ids the designer currently acts on as known-violated,
+    ascending: the DPM's live set ({!Dpm.known_violated}), or under a
+    nonzero latency or an active fault plan its own believed table's. *)
+
 val deliver : t -> own:bool -> Operator.t -> Dpm.result -> unit
 (** Enqueue an operation outcome in the designer's mailbox without
     processing it. The discrete-event engine calls this when the

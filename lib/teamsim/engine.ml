@@ -56,10 +56,9 @@ let prepare ~tracer cfg scenario ~record =
           m_kind = "setup";
           m_evaluations = outcome.Propagate.evaluations;
           m_new_violations =
-            List.length
-              (List.filter
-                 (fun (_, s) -> s = Constr.Violated)
-                 outcome.Propagate.statuses);
+            Array.fold_left
+              (fun n s -> if s = Constr.Violated then n + 1 else n)
+              0 outcome.Propagate.statuses;
           m_known_violations = List.length (Dpm.known_violations dpm);
           m_spin = false;
         };

@@ -5,7 +5,8 @@ type t = {
   mutable min_v : float;
   mutable max_v : float;
   mutable sum : float;
-  mutable samples : float list; (* reverse insertion order *)
+  mutable samples : float array;
+      (* insertion order in the first [n] slots; unboxed, 8 bytes a sample *)
   mutable sorted : float array option; (* quantile cache, cleared on add *)
 }
 
@@ -17,11 +18,17 @@ let create () =
     min_v = nan;
     max_v = nan;
     sum = 0.;
-    samples = [];
+    samples = [||];
     sorted = None;
   }
 
 let add t x =
+  if t.n = Array.length t.samples then begin
+    let grown = Array.make (max 16 (2 * t.n)) 0. in
+    Array.blit t.samples 0 grown 0 t.n;
+    t.samples <- grown
+  end;
+  t.samples.(t.n) <- x;
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
@@ -34,7 +41,6 @@ let add t x =
     if x < t.min_v then t.min_v <- x;
     if x > t.max_v then t.max_v <- x
   end;
-  t.samples <- x :: t.samples;
   t.sorted <- None
 
 let add_int t x = add t (float_of_int x)
@@ -53,13 +59,15 @@ let max_value t = t.max_v
 
 let total t = t.sum
 
-let to_list t = List.rev t.samples
+let to_list t = List.init t.n (fun i -> t.samples.(i))
 
 let sorted_samples t =
   match t.sorted with
   | Some arr -> arr
   | None ->
-    let arr = Array.of_list t.samples in
+    (* newest first: [Array.sort] is not stable, and this input order
+       decides where equal keys such as -0. and 0. land *)
+    let arr = Array.init t.n (fun i -> t.samples.(t.n - 1 - i)) in
     Array.sort Float.compare arr;
     t.sorted <- Some arr;
     arr

@@ -3,7 +3,8 @@
     Collects scalar observations and reports count, mean, standard deviation,
     extrema and quantiles. Mean and variance use Welford's online update so
     they remain numerically stable for long series; quantiles retain the full
-    sample (our series are small: at most a few thousand simulation runs). *)
+    sample, unboxed in a growable float array (8 bytes an observation, so a
+    benchmark that keeps every run's latency stays small). *)
 
 type t
 

@@ -252,11 +252,14 @@ let test_network_copy_isolated () =
 
 (* {2 Propagate} *)
 
+let feasible_of net (outcome : Propagate.outcome) name =
+  outcome.Propagate.feasible.(Network.prop_id net name)
+
 let test_propagate_narrows () =
   let net, c1, _ = small_net () in
   Network.assign net "y" (Value.Num 8.);
   let outcome = Propagate.run net in
-  let x_feasible = List.assoc "x" outcome.Propagate.feasible in
+  let x_feasible = feasible_of net outcome "x" in
   (* x + 8 <= 12 -> x <= 4; x >= 2 *)
   (match Domain.hull x_feasible with
   | Some iv ->
@@ -264,7 +267,7 @@ let test_propagate_narrows () =
       (Interval.lo iv >= 1.99 && Interval.hi iv <= 4.01)
   | None -> Alcotest.fail "x should have a hull");
   Alcotest.(check bool) "statuses computed" true
-    (List.mem_assoc c1.Constr.id outcome.Propagate.statuses);
+    (c1.Constr.id < Array.length outcome.Propagate.statuses);
   Alcotest.(check bool) "evaluations counted" true (outcome.Propagate.evaluations > 0);
   Alcotest.(check bool) "fixpoint" true outcome.Propagate.fixpoint
 
@@ -297,9 +300,9 @@ let test_propagate_idempotent () =
   let o2 = Propagate.run net in
   List.iter
     (fun (name, d1) ->
-      let d2 = List.assoc name o2.Propagate.feasible in
+      let d2 = feasible_of net o2 name in
       Alcotest.(check dom) ("fixpoint stable for " ^ name) d1 d2)
-    o1.Propagate.feasible
+    (Propagate.numeric_feasible net o1)
 
 let test_propagate_budget () =
   let net, _, _ = small_net () in
@@ -332,10 +335,7 @@ let relaxed_reference net ~target ~unpin =
   let snapshot = Network.copy net in
   List.iter (Network.unassign snapshot) (target :: unpin);
   let outcome = Propagate.run snapshot in
-  let d =
-    try List.assoc target outcome.Propagate.feasible
-    with Not_found -> Network.initial_domain net target
-  in
+  let d = feasible_of snapshot outcome target in
   (d, outcome.Propagate.evaluations)
 
 let test_relaxed_matches_reference () =
@@ -428,8 +428,7 @@ let kernel_status_matches_boxed =
          store as it is, with no revision in between *)
       let actual =
         status_result (fun () ->
-            List.assoc con.Constr.id
-              (Propagate.run_incremental net).Propagate.statuses)
+            (Propagate.run_incremental net).Propagate.statuses.(con.Constr.id))
       in
       let env name =
         let i = Network.prop_id net name in
@@ -482,7 +481,7 @@ let test_half_infinite_chain () =
   ignore (Network.add_constraint net ~name:"anchor" (v "x0") Constr.Ge (c 0.));
   let outcome = Propagate.run net in
   let lo name =
-    match Domain.hull (List.assoc name outcome.Propagate.feasible) with
+    match Domain.hull (feasible_of net outcome name) with
     | Some iv -> Interval.lo iv
     | None -> Alcotest.fail (name ^ " wiped out")
   in
@@ -498,19 +497,17 @@ let test_half_infinite_chain () =
 
 let check_outcomes_equal label (full : Propagate.outcome)
     (incr : Propagate.outcome) =
-  List.iter
-    (fun (name, d) ->
+  Array.iteri
+    (fun pid d ->
       Alcotest.(check dom)
-        (label ^ ": feasible " ^ name)
-        d
-        (List.assoc name incr.Propagate.feasible))
+        (Printf.sprintf "%s: feasible of property %d" label pid)
+        d incr.Propagate.feasible.(pid))
     full.Propagate.feasible;
-  List.iter
-    (fun (cid, s) ->
+  Array.iteri
+    (fun cid s ->
       Alcotest.(check status)
         (Printf.sprintf "%s: status of constraint %d" label cid)
-        s
-        (List.assoc cid incr.Propagate.statuses))
+        s incr.Propagate.statuses.(cid))
     full.Propagate.statuses
 
 (* Run an incremental propagation under a memory tracer and return the
@@ -585,7 +582,7 @@ let propagate_preserves_solutions =
       let net, _, _ = small_net () in
       let outcome = Propagate.run net in
       let ok name value =
-        match Domain.hull (List.assoc name outcome.Propagate.feasible) with
+        match Domain.hull (feasible_of net outcome name) with
         | Some iv -> Interval.mem value (Interval.inflate 1e-6 iv)
         | None -> false
       in
@@ -602,9 +599,7 @@ let propagation_monotone =
       let net2, _, _ = small_net () in
       Network.assign net2 "x" (Value.Num x_value);
       let after = Propagate.run net2 in
-      let hull_of outcome name =
-        Domain.hull (List.assoc name outcome.Propagate.feasible)
-      in
+      let hull_of outcome name = Domain.hull (feasible_of net1 outcome name) in
       match (hull_of before "y", hull_of after "y") with
       | Some b, Some a -> Interval.subset a (Interval.inflate 1e-9 b)
       | Some _, None -> true (* wiped out: trivially a subset *)

@@ -334,7 +334,7 @@ let mean_window net outcome =
         if Network.is_bound net name then None
         else
           Some (Domain.relative_measure ~initial:(Network.initial_domain net name) d))
-      outcome.Propagate.feasible
+      (Propagate.numeric_feasible net outcome)
   in
   List.fold_left ( +. ) 0. widths /. float_of_int (List.length widths)
 
@@ -366,7 +366,7 @@ let test_shaving_sound () =
   let outcome = Propagate.run ~consistency:(`Shave 8) net in
   List.iter
     (fun (prop, v) ->
-      let d = List.assoc prop outcome.Propagate.feasible in
+      let d = outcome.Propagate.feasible.(Network.prop_id net prop) in
       match Domain.hull d with
       | Some iv ->
         Alcotest.(check bool)

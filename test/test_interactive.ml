@@ -139,7 +139,7 @@ let cross_problem_scenario =
 
 (* alice's problem lists a constraint id that the session's network does
    not know (the constraint was built on a different network), so in
-   conventional mode [Dpm.eligible_verifications] raises
+   conventional mode [Dpm.verification_eligible] raises
    [Invalid_argument] at {e choose} time — before any apply. DDDL
    validation rejects such a problem, so the network is built directly. *)
 let alien_constraint_scenario =

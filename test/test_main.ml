@@ -10,10 +10,12 @@ let () =
       ("core", Test_core.suite);
       ("sim", Test_sim.suite);
       ("teamsim", Test_teamsim.suite);
+      ("designer", Test_designer.suite);
       ("des", Test_des.suite);
       (* forks inside: must run before the "domains" suite spawns (OCaml 5
          forbids Unix.fork once a domain has been spawned) *)
       ("serve-wire", Test_serve.wire_suite);
+      ("cli", Test_cli.suite);
       ("domains", Test_domains.suite);
       ("parallel", Test_domains.parallel_suite);
       ("fault", Test_fault.suite);
