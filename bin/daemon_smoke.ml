@@ -1,8 +1,10 @@
 (* teamsimd end-to-end smoke, run from @check:
 
      spawn daemon -> hello -> open -> exec ops -> checkpoint
+       -> teamsim replay <checkpoint> (exit 0)
        -> SIGKILL the daemon -> spawn a fresh daemon -> resume
        -> verify the resumed state matches the checkpoint fingerprint
+       -> resume of a legacy trace-bearing checkpoint -> bad_checkpoint
        -> hostile-input probes (garbage, unknown op, bad shape, oversize)
        -> shutdown (clean daemon exit)
 
@@ -124,6 +126,15 @@ let () =
   let fingerprint = Client.body_str ckpt "fingerprint" in
   check "checkpoint reports a fingerprint" (fingerprint <> None);
 
+  (* the checkpoint is a replay input: the CLI rebuilds the session from
+     it, regenerates its trace and must see it converge *)
+  let replay_pid =
+    Unix.create_process exe [| exe; "replay"; ckpt_path |] devnull devnull
+      Unix.stderr
+  in
+  check "teamsim replay <checkpoint> exits 0"
+    (snd (Unix.waitpid [] replay_pid) = Unix.WEXITED 0);
+
   (* hard-kill the daemon: sessions must survive via the artifact *)
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
@@ -147,6 +158,19 @@ let () =
   ignore
     (expect_ok "exec after resume"
        (Client.rpc c2 (Wire.Exec { session = sid2; line = "status" })));
+
+  (* a trace-bearing checkpoint from before checkpoints became compacted
+     journals is refused, not misread *)
+  let legacy_path = Filename.concat tmpdir "legacy.checkpoint.jsonl" in
+  Out_channel.with_open_text legacy_path (fun oc ->
+      output_string oc
+        "{\"teamsimd_checkpoint\":1,\"scenario\":\"simple\",\"mode\":\"ADPM\",\
+         \"seed\":3,\"designer\":\"alice\",\"commands\":[],\
+         \"fingerprint\":\"ops=0 evals=0 spins=0 solved=false violations=[]\"}\n\
+         {\"seq\":0,\"clock\":0,\"type\":\"run_started\",\"scenario\":\"simple\",\
+         \"mode\":\"ADPM\",\"seed\":3,\"engine\":\"incremental\"}\n");
+  expect_err "resume of a legacy checkpoint" "bad_checkpoint"
+    (Client.rpc c2 (Wire.Resume { path = legacy_path }));
 
   (* hostile input: each probe must yield a structured error frame and
      leave the daemon serving *)
@@ -176,6 +200,7 @@ let () =
   Client.close c2;
 
   (try Sys.remove ckpt_path with Sys_error _ -> ());
+  (try Sys.remove legacy_path with Sys_error _ -> ());
   (try Sys.remove sock with Sys_error _ -> ());
   (try Unix.rmdir tmpdir with Unix.Unix_error _ -> ());
   if !failures > 0 then (

@@ -5,7 +5,8 @@
                profile and the run summary (optionally recording a trace)
      sweep   — run many seeds for both modes and print the Fig. 9-style
                comparison table
-     replay  — re-execute a recorded trace and check convergence
+     replay  — re-execute a recorded trace (or a teamsimd checkpoint or
+               journal) and check convergence
      analyze — derived views of a recorded trace
      serve   — teamsimd: persistent multi-session daemon over a socket
      list    — list available scenarios *)
@@ -355,9 +356,55 @@ let read_trace path =
     Printf.eprintf "cannot read trace %s: %s\n" path msg;
     exit 1
 
+(* A synthetic closing event: a session's trace stops where its
+   checkpoint was taken, and [Run_finished] with the state at that point
+   makes it a complete replay input. *)
+let closing_event tracer session =
+  let dpm = Interactive.dpm session in
+  {
+    Event.seq = Tracer.seq tracer;
+    clock = Tracer.clock tracer;
+    event =
+      Event.Run_finished
+        {
+          completed = Dpm.solved dpm && Dpm.ground_truth_solved dpm;
+          operations = Dpm.op_count dpm;
+          evaluations = Interactive.attributed_evaluations session;
+          setup_evaluations = Interactive.setup_evaluations session;
+          spins = Dpm.spin_count dpm;
+          violations = List.sort compare (Dpm.known_violations dpm);
+        };
+  }
+
+(* A teamsimd checkpoint or journal holds a command log, not events:
+   rebuild the session through the daemon's own fingerprint-gated replay
+   with a collecting tracer, and the trace it records is the input. *)
+let session_events path =
+  let buf, sink = Sink.collector () in
+  let tracer = Tracer.create sink in
+  match
+    Adpm_serve.Session.resume ~tracer ~resolve:Registry.resolve_result
+      ~id:"replay" path
+  with
+  | Ok (s, _) ->
+    Sink.Collect.contents buf
+    @ [ closing_event tracer (Adpm_serve.Session.interactive s) ]
+  | Error err ->
+    Printf.eprintf "cannot replay %s: %s\n" path
+      (Adpm_serve.Session.error_message err);
+    exit 1
+
+let is_journal path =
+  match In_channel.with_open_text path In_channel.input_line with
+  | Some line -> (
+    match Json.parse line with
+    | Ok header -> Json.member Adpm_serve.Session.journal_marker header <> None
+    | Error _ -> false)
+  | None | (exception Sys_error _) -> false
+
 let replay_cmd =
   let action path =
-    let events = read_trace path in
+    let events = if is_journal path then session_events path else read_trace path in
     match Replay.run ~resolve:Registry.resolve events with
     | exception Replay.Replay_error msg ->
       Printf.eprintf "cannot replay %s: %s\n" path msg;
@@ -366,13 +413,24 @@ let replay_cmd =
       print_string (Replay.render report);
       if not (Replay.converged report) then exit 1
   in
-  let term = Term.(const action $ trace_file_arg) in
+  let file_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"FILE"
+          ~doc:
+            "JSONL trace file recorded by $(b,run --trace), or a teamsimd \
+             checkpoint or journal.")
+  in
+  let term = Term.(const action $ file_arg) in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
          "Re-execute a recorded trace against a fresh design state and \
           verify it converges to the recorded outcome (nonzero exit on \
-          divergence).")
+          divergence). A teamsimd checkpoint or journal is first rebuilt \
+          through the daemon's fingerprint-gated replay (nonzero exit on a \
+          fingerprint mismatch) to regenerate the session's trace.")
     term
 
 let analyze_cmd =

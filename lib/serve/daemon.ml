@@ -71,13 +71,6 @@ let sockaddr_of = function
   | Unix_path p -> Unix.ADDR_UNIX p
   | Tcp (host, port) -> Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
 
-let journal_marker = "teamsimd_journal"
-
-let journal_header ?(extras = []) ~sid s =
-  Json.Obj
-    (Session.header_fields ~marker:journal_marker s
-    @ (("session", Json.Str sid) :: extras))
-
 (* {2 Bounded reply cache}
 
    Keyed by (client token, request id): a reconnecting client that never
@@ -154,68 +147,50 @@ let seed_cache_from t json =
     | None -> ())
   | _ -> ()
 
-(* Replay one journal back into a live session. The header rebuilds the
-   state at the last compaction (fingerprint-gated); each tail entry is
-   fingerprint-checked against the state it was appended over, executed,
-   and its reply re-cached so a client resend after the crash is answered
-   without double-execution. Any damage stops the tail replay at the last
-   consistent point — never the whole recovery. *)
+(* Rebuild one journaled session with {!Session.replay}, leniently: the
+   reply of every replayed tail entry is re-cached so a client resend
+   after the crash is answered without double-execution, and damage stops
+   the tail at the last consistent point, never the whole recovery. *)
 let recover_one t ~dir (sc : Journal.scanned) =
   let sid = sc.Journal.sc_sid in
-  match Session.header_of_json ~marker:journal_marker sc.Journal.sc_header with
+  (* the header's own reply is cached once the header has rebuilt,
+     before any tail entry's *)
+  let seeded = ref false in
+  let seed_header () =
+    if not !seeded then (seeded := true; seed_cache_from t sc.Journal.sc_header)
+  in
+  let on_entry s entry result =
+    seed_header ();
+    let id = Json.member "id" entry in
+    match (Option.bind (Json.member "client" entry) Json.to_str, id) with
+    | Some client, Some idv ->
+      cache_store t ~client ~key:(cache_key idv) (exec_reply ?id s result)
+    | _ -> ()
+  in
+  match Session.header_of_json sc.Journal.sc_header with
   | Error msg ->
     Journal.quarantine sc.Journal.sc_path;
     warn t "journal %s: %s (quarantined)" sid msg
   | Ok header -> (
-    match Session.rebuild ~resolve:t.cfg.dc_resolve ~id:sid header with
+    match
+      Session.replay ~on_entry ~resolve:t.cfg.dc_resolve ~id:sid header
+        sc.Journal.sc_entries
+    with
     | Error err ->
       Journal.quarantine sc.Journal.sc_path;
-      let msg =
-        match err with
-        | Session.Rs_io m | Session.Rs_corrupt m | Session.Rs_mismatch m -> m
-      in
-      warn t "journal %s: cannot rebuild session: %s (quarantined)" sid msg
-    | Ok (s, replayed) ->
+      warn t "journal %s: cannot rebuild session: %s (quarantined)" sid
+        (Session.error_message err)
+    | Ok (s, replayed, stop) ->
+      seed_header ();
       if sc.Journal.sc_dropped > 0 then
         warn t "journal %s: dropped %d damaged trailing line(s)" sid
           sc.Journal.sc_dropped;
-      seed_cache_from t sc.Journal.sc_header;
-      let executed = ref 0 in
-      (try
-         List.iter
-           (fun entry ->
-             match Option.bind (Json.member "cmd" entry) Json.to_str with
-             | None ->
-               warn t "journal %s: entry without \"cmd\"; dropping rest" sid;
-               raise Exit
-             | Some line -> (
-               (match Option.bind (Json.member "fp" entry) Json.to_str with
-               | Some fp when not (String.equal fp (Session.fingerprint s)) ->
-                 warn t
-                   "journal %s: entry fingerprint diverges from replay; \
-                    dropping rest"
-                   sid;
-                 raise Exit
-               | _ -> ());
-               match Session.exec s line with
-               | result ->
-                 incr executed;
-                 let id = Json.member "id" entry in
-                 (match
-                    (Option.bind (Json.member "client" entry) Json.to_str, id)
-                  with
-                 | Some client, Some idv ->
-                   cache_store t ~client ~key:(cache_key idv)
-                     (exec_reply ?id s result)
-                 | _ -> ())
-               | exception e ->
-                 warn t "journal %s: replay of %S raised %s; dropping rest" sid
-                   line (Printexc.to_string e);
-                 raise Exit))
-           sc.Journal.sc_entries
-       with Exit -> ());
+      (match stop with
+      | Some err ->
+        warn t "journal %s: %s; dropping rest" sid (Session.error_message err)
+      | None -> ());
       Hashtbl.replace t.sessions sid s;
-      t.recovered <- t.recovered @ [ (sid, replayed + !executed) ];
+      t.recovered <- t.recovered @ [ (sid, replayed) ];
       (* keep "s%d" ids monotone across the restart *)
       (match int_of_string_opt (String.sub sid 1 (String.length sid - 1)) with
       | Some n when String.length sid > 1 && sid.[0] = 's' ->
@@ -226,7 +201,7 @@ let recover_one t ~dir (sc : Journal.scanned) =
       (match Journal.reopen ~dir ~sid with
       | Error msg -> warn t "journal %s: cannot reopen: %s" sid msg
       | Ok j -> (
-        match Journal.rewrite j (journal_header ~sid s) with
+        match Journal.rewrite j (Session.journal_header s) with
         | Ok () -> Hashtbl.replace t.journals sid j
         | Error msg ->
           Journal.close j;
@@ -353,7 +328,7 @@ let start_journal t ~sid ~s ?client ?id reply =
         | Some _, Some _ -> [ ("reply", reply) ]
         | _ -> []
     in
-    match Journal.create ~dir ~sid (journal_header ~extras ~sid s) with
+    match Journal.create ~dir ~sid (Session.journal_header ~extras s) with
     | Ok j ->
       Hashtbl.replace t.journals sid j;
       reply
@@ -375,7 +350,7 @@ let journal_exec t ~sid ~s ?client ?id line =
   | None, _ -> Ok ()
   | Some dir, None -> (
     (* self-heal: a session whose journal died gets a fresh compacted one *)
-    match Journal.create ~dir ~sid (journal_header ~sid s) with
+    match Journal.create ~dir ~sid (Session.journal_header s) with
     | Error msg -> Error msg
     | Ok j -> (
       match Journal.append j (exec_entry ?client ?id ~s line) with
@@ -395,7 +370,7 @@ let maybe_compact t ~sid ~s =
     match Hashtbl.find_opt t.journals sid with
     | None -> ()
     | Some j -> (
-      match Journal.rewrite j (journal_header ~sid s) with
+      match Journal.rewrite j (Session.journal_header s) with
       | Ok () -> ()
       | Error msg -> warn t "journal %s: compaction failed: %s" sid msg)
 
@@ -481,11 +456,11 @@ let handle t req_json =
             | None -> default_checkpoint_path t session
           in
           match Session.checkpoint s ~path with
-          | Ok events ->
+          | Ok () ->
             Wire.ok_frame ?id
               [
                 ("path", Json.Str path);
-                ("events", Json.Num (float_of_int events));
+                ("commands", Json.Num (float_of_int (Session.command_count s)));
                 ("fingerprint", Json.Str (Session.fingerprint s));
               ]
           | Error msg -> Wire.error_frame ?id ~code:Wire.Io msg)
@@ -495,7 +470,7 @@ let handle t req_json =
           (Printf.sprintf "session limit %d reached" t.cfg.dc_max_sessions)
       else begin
         let sid = fresh_session_id t in
-        match Session.resume ~resolve:t.cfg.dc_resolve ~id:sid ~path with
+        match Session.resume ~resolve:t.cfg.dc_resolve ~id:sid path with
         | Ok (s, replayed) ->
           Hashtbl.replace t.sessions sid s;
           let reply =

@@ -88,20 +88,36 @@ let write_line fd line =
   done;
   Unix.fsync fd
 
+(* The one way a file gets a header line: open [p] truncated, write and
+   fsync [header], close. A failure leaves [p] where it is: the callers
+   decide what to unlink, and a checkpoint to a device (say /dev/full)
+   must never unlink or replace it. *)
+let write_file p header =
+  match Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 with
+  | exception Unix.Unix_error (err, fn, _) -> fd_error fn err
+  | fd -> (
+    match
+      write_line fd (Json.to_string header);
+      Unix.close fd
+    with
+    | () -> Ok ()
+    | exception Unix.Unix_error (err, fn, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      fd_error fn err)
+
+let open_append p =
+  match Unix.openfile p [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
+  | fd -> Ok { j_path = p; j_fd = Some fd }
+  | exception Unix.Unix_error (err, fn, _) -> fd_error fn err
+
 let create ~dir ~sid header =
   ensure_dir dir;
   let p = path ~dir ~sid in
-  match
-    Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  with
-  | fd -> (
-    match write_line fd (Json.to_string header) with
-    | () -> Ok { j_path = p; j_fd = Some fd }
-    | exception Unix.Unix_error (err, fn, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try Unix.unlink p with Unix.Unix_error _ -> ());
-      fd_error fn err)
-  | exception Unix.Unix_error (err, fn, _) -> fd_error fn err
+  match write_file p header with
+  | Ok () -> open_append p
+  | Error _ as e ->
+    (try Unix.unlink p with Unix.Unix_error _ -> ());
+    e
 
 let append t entry =
   match t.j_fd with
@@ -115,32 +131,6 @@ let append t entry =
       t.j_fd <- None;
       fd_error fn err)
 
-(* Compaction: replace the whole journal with a fresh header (which
-   carries the full command log and current fingerprint) via
-   write-to-temp + atomic rename, so a crash mid-compaction leaves either
-   the old journal or the new one, never a torn file. *)
-let rewrite t header =
-  let tmp = t.j_path ^ ".tmp" in
-  match
-    let fd =
-      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    (match write_line fd (Json.to_string header) with
-    | () -> Unix.close fd
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e);
-    Unix.rename tmp t.j_path;
-    (match t.j_fd with
-    | Some old -> ( try Unix.close old with Unix.Unix_error _ -> ())
-    | None -> ());
-    t.j_fd <- Some (Unix.openfile t.j_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644)
-  with
-  | () -> Ok ()
-  | exception Unix.Unix_error (err, fn, _) ->
-    (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-    fd_error fn err
-
 let close t =
   match t.j_fd with
   | None -> ()
@@ -148,16 +138,35 @@ let close t =
     t.j_fd <- None;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* Compaction: replace the whole journal with a fresh header (which
+   carries the full command log and current fingerprint) via
+   write-to-temp + atomic rename, so a crash mid-compaction leaves either
+   the old journal or the new one, never a torn file. *)
+let rewrite t header =
+  let tmp = t.j_path ^ ".tmp" in
+  match
+    Result.bind (write_file tmp header) (fun () ->
+        match Unix.rename tmp t.j_path with
+        | () -> Ok ()
+        | exception Unix.Unix_error (err, fn, _) -> fd_error fn err)
+  with
+  | Error _ as e ->
+    (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+    e
+  | Ok () -> (
+    close t;
+    match open_append t.j_path with
+    | Ok fresh ->
+      t.j_fd <- fresh.j_fd;
+      Ok ()
+    | Error _ as e -> e)
+
 let remove t =
   close t;
   try Unix.unlink t.j_path with Unix.Unix_error _ -> ()
 
 (* Reopen a scanned journal for appending (recovery path). *)
-let reopen ~dir ~sid =
-  let p = path ~dir ~sid in
-  match Unix.openfile p [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
-  | fd -> Ok { j_path = p; j_fd = Some fd }
-  | exception Unix.Unix_error (err, fn, _) -> fd_error fn err
+let reopen ~dir ~sid = open_append (path ~dir ~sid)
 
 (* {2 Startup scan} *)
 
@@ -188,20 +197,16 @@ let complete_lines contents =
   in
   go [] 0
 
-let scan_file p =
-  let sid =
-    let base = Filename.basename p in
-    String.sub base 0 (String.length base - String.length suffix)
-  in
+let read p =
   match In_channel.with_open_bin p In_channel.input_all with
-  | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" p msg)
+  | exception Sys_error msg -> Error (`Io msg)
   | contents -> (
     let lines, torn = complete_lines contents in
     match lines with
-    | [] -> Error (Printf.sprintf "%s: empty journal" p)
+    | [] -> Error (`Corrupt (Printf.sprintf "%s: empty journal" p))
     | header_line :: entry_lines -> (
       match Json.parse header_line with
-      | Error msg -> Error (Printf.sprintf "%s: bad header: %s" p msg)
+      | Error msg -> Error (`Corrupt (Printf.sprintf "%s: bad header: %s" p msg))
       | Ok header ->
         (* parse entries up to the first corrupt line; everything after a
            corrupt record is untrustworthy and dropped with it *)
@@ -214,17 +219,10 @@ let scan_file p =
             | Error _ -> (List.rev acc, List.length rest + 1))
         in
         let entries, bad = take [] entry_lines in
-        Ok
-          {
-            sc_sid = sid;
-            sc_path = p;
-            sc_header = header;
-            sc_entries = entries;
-            sc_dropped = bad + torn;
-          }))
+        Ok (header, entries, bad + torn)))
 
 let scan ~dir =
-  let files =
+  let names =
     match Sys.readdir dir with
     | names ->
       Array.to_list names
@@ -232,17 +230,22 @@ let scan ~dir =
              String.length n > String.length suffix
              && Filename.check_suffix n suffix)
       |> List.sort compare
-      |> List.map (Filename.concat dir)
     | exception Sys_error _ -> []
   in
   List.fold_left
-    (fun (ok, warnings) p ->
-      match scan_file p with
-      | Ok s -> (s :: ok, warnings)
-      | Error msg ->
+    (fun (ok, warnings) name ->
+      let p = Filename.concat dir name in
+      let sc_sid = Filename.chop_suffix name suffix in
+      match read p with
+      | Ok (sc_header, sc_entries, sc_dropped) ->
+        ({ sc_sid; sc_path = p; sc_header; sc_entries; sc_dropped } :: ok, warnings)
+      | Error err ->
         (* an unreadable journal must never wedge startup: set it aside
            and keep recovering the others *)
+        let msg =
+          match err with `Io m -> Printf.sprintf "%s: %s" p m | `Corrupt m -> m
+        in
         quarantine p;
         (ok, (msg ^ " (quarantined)") :: warnings))
-    ([], []) files
+    ([], []) names
   |> fun (ok, warnings) -> (List.rev ok, List.rev warnings)

@@ -7,7 +7,8 @@
     Every line is fsync'd {e before} the command it records executes, so
     after a crash the journal is a complete prefix of the daemon's
     actual history: the only thing ever lost is a command that was never
-    executed and never answered.
+    executed and never answered. A checkpoint is the same file compacted
+    to its header line ({!write_file}); {!read} parses either.
 
     Tail corruption (a torn final line from a crash mid-append, or any
     unparseable record) is dropped at the last valid entry; a journal
@@ -36,8 +37,11 @@ val release : lock -> unit
 
 type t
 
-val path : dir:string -> sid:string -> string
-(** [dir/<sid>.journal.jsonl]. *)
+val write_file : string -> Json.t -> (unit, string) result
+(** Open the path with O_TRUNC, write + fsync the header as its only
+    line, close. On failure the path is neither unlinked nor renamed.
+    This is the whole checkpoint writer, and the first step of {!create}
+    and {!rewrite}. *)
 
 val create : dir:string -> sid:string -> Json.t -> (t, string) result
 (** Create (truncating any leftover) and write + fsync the header line. *)
@@ -64,6 +68,14 @@ val remove : t -> unit
 val quarantine : string -> unit
 (** Rename a damaged journal to [<path>.corrupt] (best effort) so the
     next startup does not trip over it again. *)
+
+val read :
+  string ->
+  (Json.t * Json.t list * int, [ `Io of string | `Corrupt of string ]) result
+(** Parse one journal file of any name into (header, entries, dropped):
+    [dropped] counts the trailing lines cut off, torn or unparseable,
+    as in {!scan}. [`Io] when the file cannot be read, [`Corrupt] when it
+    is empty or its header line is not JSON. Never raises. *)
 
 type scanned = {
   sc_sid : string;

@@ -10,22 +10,17 @@ type t = {
   ss_seed : int;
   ss_designer : string;
   ss_session : Interactive.t;
-  ss_buf : Sink.Collect.buffer;
-  ss_tracer : Tracer.t;
   mutable ss_commands : string list;  (* newest first *)
+  mutable ss_count : int;  (* List.length ss_commands *)
 }
 
-let id t = t.ss_id
 let interactive t = t.ss_session
-let commands t = List.rev t.ss_commands
-let command_count t = List.length t.ss_commands
+let command_count t = t.ss_count
 
-let create ~resolve ~id ~scenario ~mode ~seed ~designer =
+let make ~tracer ~resolve ~id ~scenario ~mode ~seed ~designer =
   match (resolve scenario : (Scenario.t, string) result) with
   | Error msg -> Error msg
   | Ok sc -> (
-    let buf, sink = Sink.collector () in
-    let tracer = Tracer.create sink in
     match Interactive.create ~tracer ~mode ~seed sc ~designer with
     | session ->
       Ok
@@ -36,17 +31,20 @@ let create ~resolve ~id ~scenario ~mode ~seed ~designer =
           ss_seed = seed;
           ss_designer = designer;
           ss_session = session;
-          ss_buf = buf;
-          ss_tracer = tracer;
           ss_commands = [];
+          ss_count = 0;
         }
     | exception Invalid_argument msg -> Error msg)
+
+let create ~resolve ~id ~scenario ~mode ~seed ~designer =
+  make ~tracer:Tracer.null ~resolve ~id ~scenario ~mode ~seed ~designer
 
 let exec t line =
   (* Log the line before running it: replay-on-resume must re-issue every
      command (including rejected ones) so the designer models' RNG and
      tabu state advance identically. *)
   t.ss_commands <- line :: t.ss_commands;
+  t.ss_count <- t.ss_count + 1;
   Interactive.execute t.ss_session line
 
 let prompt t = Interactive.prompt t.ss_session
@@ -86,34 +84,11 @@ let status_fields t =
            (fun cid -> Json.Num (float_of_int cid))
            (List.sort compare (Dpm.known_violations (Interactive.dpm t.ss_session))))
     );
-    ("commands", Json.Num (float_of_int (List.length t.ss_commands)));
-    ("events", Json.Num (float_of_int (Sink.Collect.length t.ss_buf)));
+    ("commands", Json.Num (float_of_int t.ss_count));
   ]
 
-(* A synthetic closing event, NOT appended to the live buffer: the
-   session keeps running after a checkpoint, and a later checkpoint must
-   build its own closing frame from the later state. *)
-let closing_event t =
-  let dpm = Interactive.dpm t.ss_session in
-  {
-    Event.seq = Tracer.seq t.ss_tracer;
-    clock = Tracer.clock t.ss_tracer;
-    event =
-      Event.Run_finished
-        {
-          completed = Dpm.solved dpm && Dpm.ground_truth_solved dpm;
-          operations = Dpm.op_count dpm;
-          evaluations = Interactive.attributed_evaluations t.ss_session;
-          setup_evaluations = Interactive.setup_evaluations t.ss_session;
-          spins = Dpm.spin_count dpm;
-          violations = List.sort compare (Dpm.known_violations dpm);
-        };
-  }
-
-(* The checkpoint header and the write-ahead journal header share one
-   format (the journal reuses the checkpoint shape under a different
-   marker key), so resume-from-checkpoint and journal recovery parse
-   through the same code path. *)
+(* One header shape for the write-ahead journal and the checkpoint: a
+   checkpoint is a journal compacted to its header line. *)
 let header_fields ~marker t =
   [
     (marker, Json.Num 1.);
@@ -125,52 +100,19 @@ let header_fields ~marker t =
     ("fingerprint", Json.Str (fingerprint t));
   ]
 
-let meta_json t = Json.Obj (header_fields ~marker:"teamsimd_checkpoint" t)
+let journal_marker = "teamsimd_journal"
 
-let checkpoint t ~path =
-  let events = Sink.Collect.contents t.ss_buf @ [ closing_event t ] in
-  match
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (Json.to_string (meta_json t));
-        output_char oc '\n';
-        List.iter
-          (fun ev ->
-            output_string oc (Codec.to_line ev);
-            output_char oc '\n')
-          events;
-        (* flush inside the protected region: [with_open_text] closes
-           with [close_noerr], which would swallow an ENOSPC surfacing
-           only when the channel buffer finally hits the disk *)
-        Out_channel.flush oc)
-  with
-  | () -> Ok (List.length events)
-  | exception Sys_error msg -> Error msg
+let journal_header ?(extras = []) t =
+  Json.Obj
+    (header_fields ~marker:journal_marker t
+    @ (("session", Json.Str t.ss_id) :: extras))
+
+let checkpoint t ~path = Journal.write_file path (journal_header t)
 
 type resume_error =
   | Rs_io of string
   | Rs_corrupt of string
   | Rs_mismatch of string
-
-let read_lines path =
-  match
-    In_channel.with_open_text path (fun ic ->
-        let rec loop acc =
-          match In_channel.input_line ic with
-          | Some l -> loop (l :: acc)
-          | None -> List.rev acc
-        in
-        loop [])
-  with
-  | lines -> Ok lines
-  | exception Sys_error msg -> Error msg
-
-let rec collect_events acc lineno = function
-  | [] -> Ok (List.rev acc)
-  | "" :: rest -> collect_events acc (lineno + 1) rest
-  | line :: rest -> (
-    match Codec.of_line line with
-    | Ok ev -> collect_events (ev :: acc) (lineno + 1) rest
-    | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
 
 type header = {
   h_scenario : string;
@@ -181,12 +123,12 @@ type header = {
   h_fingerprint : string;
 }
 
-let header_of_json ~marker meta =
+let header_of_json meta =
   let ( let* ) = Result.bind in
   let* () =
     match meta with
-    | Json.Obj _ when Json.member marker meta <> None -> Ok ()
-    | _ -> Error (Printf.sprintf "first line is not a %s header" marker)
+    | Json.Obj _ when Json.member journal_marker meta <> None -> Ok ()
+    | _ -> Error (Printf.sprintf "first line is not a %s header" journal_marker)
   in
   let meta_str name =
     match Option.bind (Json.member name meta) Json.to_str with
@@ -218,67 +160,84 @@ let header_of_json ~marker meta =
   in
   Ok { h_scenario; h_mode; h_seed; h_designer; h_commands; h_fingerprint }
 
-(* Re-issuing the command log regenerates the designer-model state (RNG,
-   tabu memory) and the trace buffer, so the rebuilt session can itself
-   be checkpointed or journaled again. *)
-let rebuild ~resolve ~id header =
+let error_message = function Rs_io m | Rs_corrupt m | Rs_mismatch m -> m
+
+(* Rebuild the session at the header (its command log re-issued against
+   a fresh engine, so the designer models' RNG and tabu memory come back
+   too), then run the tail: each entry must carry the fingerprint of the
+   state it was appended over. The first entry that does not fit stops
+   the tail, and the reason comes back with the consistent prefix. *)
+let replay ?(tracer = Tracer.null) ?(on_entry = fun _ _ _ -> ()) ~resolve ~id
+    header entries =
   match
-    create ~resolve ~id ~scenario:header.h_scenario ~mode:header.h_mode
+    make ~tracer ~resolve ~id ~scenario:header.h_scenario ~mode:header.h_mode
       ~seed:header.h_seed ~designer:header.h_designer
   with
   | Error msg ->
     Error (Rs_corrupt (Printf.sprintf "cannot rebuild session: %s" msg))
-  | Ok fresh -> (
-    match List.iter (fun line -> ignore (exec fresh line)) header.h_commands with
-    | () ->
-      let fp = fingerprint fresh in
-      if String.equal fp header.h_fingerprint then
-        Ok (fresh, List.length header.h_commands)
-      else
-        Error
-          (Rs_mismatch
-             (Printf.sprintf "replayed %s but header recorded %s" fp
-                header.h_fingerprint))
+  | Ok s -> (
+    match List.iter (fun line -> ignore (exec s line)) header.h_commands with
     | exception e ->
       Error
         (Rs_corrupt
-           (Printf.sprintf "command log replay raised %s"
-              (Printexc.to_string e))))
+           (Printf.sprintf "command log replay raised %s" (Printexc.to_string e)))
+    | () when not (String.equal (fingerprint s) header.h_fingerprint) ->
+      Error
+        (Rs_mismatch
+           (Printf.sprintf "replayed %s but header recorded %s" (fingerprint s)
+              header.h_fingerprint))
+    | () ->
+      let rec tail n = function
+        | [] -> (n, None)
+        | entry :: rest -> (
+          match Option.bind (Json.member "cmd" entry) Json.to_str with
+          | None -> (n, Some (Rs_corrupt "entry without \"cmd\""))
+          | Some line -> (
+            match Option.bind (Json.member "fp" entry) Json.to_str with
+            | Some fp when not (String.equal fp (fingerprint s)) ->
+              (n, Some (Rs_mismatch "entry fingerprint diverges from replay"))
+            | _ -> (
+              match exec s line with
+              | result ->
+                on_entry s entry result;
+                tail (n + 1) rest
+              | exception e ->
+                ( n,
+                  Some
+                    (Rs_corrupt
+                       (Printf.sprintf "replay of %S raised %s" line
+                          (Printexc.to_string e))) ))))
+      in
+      let n, stop = tail (List.length header.h_commands) entries in
+      Ok (s, n, stop))
 
-let resume ~resolve ~id ~path =
+(* Checkpoints written before they became compacted journals. *)
+let legacy_marker = "teamsimd_checkpoint"
+
+let resume ?tracer ~resolve ~id path =
   let ( let* ) = Result.bind in
-  match read_lines path with
-  | Error msg -> Error (Rs_io msg)
-  | Ok [] -> Error (Rs_corrupt "empty checkpoint file")
-  | Ok (meta_line :: event_lines) ->
-    let corrupt fmt = Printf.ksprintf (fun m -> Error (Rs_corrupt m)) fmt in
-    let* meta =
-      match Json.parse meta_line with
-      | Ok j -> Ok j
-      | Error msg -> corrupt "unparseable checkpoint header: %s" msg
-    in
-    let* header =
-      match header_of_json ~marker:"teamsimd_checkpoint" meta with
-      | Ok h -> Ok h
-      | Error msg -> corrupt "%s" msg
-    in
-    let* events =
-      match collect_events [] 2 event_lines with
-      | Ok evs -> Ok evs
-      | Error msg -> corrupt "bad trace event at %s" msg
-    in
-    (* Integrity gate: the recorded trace must replay cleanly through the
-       stock driver before we trust the command log. *)
-    let raising_resolve name =
-      match resolve name with Ok s -> s | Error msg -> invalid_arg msg
-    in
-    let* () =
-      match Replay.run ~resolve:raising_resolve events with
-      | report when Replay.converged report -> Ok ()
-      | report ->
-        corrupt "checkpoint trace does not replay: %s"
-          (String.trim (Replay.render report))
-      | exception Replay.Replay_error msg ->
-        corrupt "checkpoint trace does not replay: %s" msg
-    in
-    rebuild ~resolve ~id header
+  let* json, entries, dropped =
+    match Journal.read path with
+    | Ok contents -> Ok contents
+    | Error (`Io msg) -> Error (Rs_io msg)
+    | Error (`Corrupt msg) -> Error (Rs_corrupt msg)
+  in
+  let* header =
+    if Json.member legacy_marker json <> None then
+      Error
+        (Rs_corrupt
+           (Printf.sprintf
+              "%s is a legacy %s file (trace-bearing checkpoint format), \
+               which is no longer read"
+              path legacy_marker))
+    else Result.map_error (fun m -> Rs_corrupt m) (header_of_json json)
+  in
+  let* () =
+    if dropped > 0 then
+      Error (Rs_corrupt (Printf.sprintf "%d damaged trailing line(s)" dropped))
+    else Ok ()
+  in
+  match replay ?tracer ~resolve ~id header entries with
+  | Error _ as e -> e
+  | Ok (_, _, Some stop) -> Error stop
+  | Ok (s, n, None) -> Ok (s, n)

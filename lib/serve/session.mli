@@ -1,17 +1,16 @@
 (** One daemon-resident interactive session.
 
     Wraps {!Adpm_teamsim.Interactive} with the bookkeeping the daemon
-    needs: a per-session trace collector (every session records its own
-    PR 1 event stream), a command log, and checkpoint/resume.
+    needs: a command log and checkpoint/resume. Sessions run untraced.
 
-    A checkpoint artifact is a JSONL file: line 1 is a header object
-    ([teamsimd_checkpoint], scenario/mode/seed/designer, the command log,
-    and a state fingerprint), followed by the session's stamped trace
-    events with a synthetic closing [Run_finished] appended. The event
-    half is a complete, self-contained replay input for the stock
-    {!Adpm_teamsim.Replay} driver; the header half is what [resume] uses
-    to rebuild the {e live} session (designer-model RNG and memory
-    included) by re-issuing the command log against a fresh engine. *)
+    The state of a session is its command log folded over a fresh engine,
+    so the log is the whole persistent state. A checkpoint is a write-ahead
+    journal compacted to its header line (see {!journal_header}):
+    scenario/mode/seed/designer, the command log and the state
+    fingerprint. {!resume} reads checkpoints and live journals alike, and
+    daemon crash recovery and [resume] rebuild sessions through the one
+    fingerprint-gated {!replay}. [teamsim replay] re-executes such a file
+    with a collecting tracer to regenerate the session's event trace. *)
 
 open Adpm_core
 open Adpm_teamsim
@@ -31,14 +30,10 @@ val create :
     raises. [resolve] is the daemon's injected scenario resolver
     (typically {!Adpm_scenarios.Registry.resolve_result}). *)
 
-val id : t -> string
 val interactive : t -> Interactive.t
 
-val commands : t -> string list
-(** Every line ever passed to {!exec}, oldest first. *)
-
 val command_count : t -> int
-(** [List.length (commands t)], without building the list. *)
+(** How many lines {!exec} has been given, rejected ones included. O(1). *)
 
 val exec : t -> string -> (string, string) result
 (** Run one command line (logged for resume). Exceptions other than the
@@ -60,23 +55,35 @@ val fingerprint_of_interactive : Interactive.t -> string
 val status_fields : t -> (string * Json.t) list
 (** The [status] response body. *)
 
-val checkpoint : t -> path:string -> (int, string) result
-(** Write the replay artifact; [Ok events_written] or [Error io_message].
-    The live session is untouched and can be checkpointed again later. *)
-
 val header_fields : marker:string -> t -> (string * Json.t) list
-(** The checkpoint/journal header object's fields: [marker] (a format
-    tag, ["teamsimd_checkpoint"] or ["teamsimd_journal"]),
-    scenario/mode/seed/designer, the full command log, and the current
-    state fingerprint. Shared by {!checkpoint} and the daemon's
-    write-ahead journal. *)
+(** The journal header object's fields: [marker] (a format tag,
+    ["teamsimd_journal"]), scenario/mode/seed/designer, the full command
+    log, and the current state fingerprint. *)
+
+val journal_marker : string
+(** ["teamsimd_journal"]: the header key that marks a journal or a
+    checkpoint. *)
+
+val journal_header : ?extras:(string * Json.t) list -> t -> Json.t
+(** The ["teamsimd_journal"] header line of this session: {!header_fields}
+    plus the session id, then [extras]. A journal starts with it, a
+    compaction rewrites it, and a checkpoint is nothing else. *)
+
+val checkpoint : t -> path:string -> (unit, string) result
+(** Write {!journal_header} to [path] with {!Journal.write_file} (O_TRUNC,
+    fsync'd); [Error io_message] on failure, which leaves [path] in place.
+    The live session is untouched and can be checkpointed again later. *)
 
 type resume_error =
   | Rs_io of string  (** file unreadable *)
-  | Rs_corrupt of string  (** bad header/events, or trace fails replay *)
-  | Rs_mismatch of string  (** rebuilt state contradicts the fingerprint *)
+  | Rs_corrupt of string
+      (** bad header or entry, damaged lines, a legacy
+          trace-bearing checkpoint, or a command that raised *)
+  | Rs_mismatch of string  (** rebuilt state contradicts a fingerprint *)
 
-(** Parsed header (checkpoint or journal — same shape). *)
+val error_message : resume_error -> string
+
+(** Parsed journal header. *)
 type header = {
   h_scenario : string;
   h_mode : Dpm.mode;
@@ -86,25 +93,36 @@ type header = {
   h_fingerprint : string;
 }
 
-val header_of_json : marker:string -> Json.t -> (header, string) result
-(** Parse a header object, requiring the given [marker] key. *)
+val header_of_json : Json.t -> (header, string) result
+(** Parse a journal header object (the ["teamsimd_journal"] marker is
+    required). *)
 
-val rebuild :
+val replay :
+  ?tracer:Adpm_trace.Tracer.t ->
+  ?on_entry:(t -> Json.t -> (string, string) result -> unit) ->
   resolve:(string -> (Scenario.t, string) result) ->
   id:string ->
   header ->
-  (t * int, resume_error) result
-(** Rebuild a live session from a parsed header alone: create a fresh
-    engine, re-issue the command log, and gate on the recorded
-    fingerprint. This is the shared replay path under both {!resume}
-    (checkpoint artifacts, which additionally validate their recorded
-    trace) and the daemon's journal recovery. *)
+  Json.t list ->
+  (t * int * resume_error option, resume_error) result
+(** The one replay of a journal, shared by {!resume} and the daemon's
+    crash recovery. Create a fresh session (on [tracer], default
+    untraced), re-issue the header's command log and require the header
+    fingerprint, else [Error]. Then run the tail entries in order: an
+    entry runs only if its ["fp"] equals the current fingerprint, and
+    [on_entry] sees each one executed with its result. The first entry
+    without a ["cmd"], with a diverging fingerprint, or whose command
+    raises stops the tail. [Ok (session, commands_replayed, stop)] keeps
+    the consistent prefix; [stop] says why the tail stopped, if it did. *)
 
 val resume :
+  ?tracer:Adpm_trace.Tracer.t ->
   resolve:(string -> (Scenario.t, string) result) ->
   id:string ->
-  path:string ->
+  string ->
   (t * int, resume_error) result
-(** Rebuild a live session from a checkpoint artifact: validate the
-    recorded trace via {!Adpm_teamsim.Replay}, re-issue the command log,
-    and check the resulting fingerprint. [Ok (session, commands_replayed)]. *)
+(** Rebuild a live session from a checkpoint or journal file with
+    {!replay}, strictly: a damaged trailing line or a stopped tail is an
+    error, not a prefix. A legacy trace-bearing checkpoint is refused as
+    [Rs_corrupt] with a message naming its format.
+    [Ok (session, commands_replayed)]. *)

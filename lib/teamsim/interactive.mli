@@ -25,8 +25,9 @@ val create :
     receives the engine-level framing events — [Run_started] up front and
     [Op_submitted] (with decision-time evaluation deltas) before every
     applied operation — so the recorded stream is replayable by the stock
-    [Replay] driver once a closing [Run_finished] is appended (the
-    teamsimd checkpoint writer does exactly that).
+    [Replay] driver once a closing [Run_finished] is appended
+    ([teamsim replay] does exactly that to a session it rebuilds from a
+    teamsimd checkpoint).
     @raise Invalid_argument if the scenario has no such designer. *)
 
 val prompt : t -> string
@@ -67,7 +68,7 @@ val setup_evaluations : t -> int
 
 val attributed_evaluations : t -> int
 (** N_T already attributed to emitted [Op_submitted] events, i.e.
-    [Dpm.eval_count] as of the last applied operation. The checkpoint
-    writer records this (not the live [eval_count]) as [Run_finished]'s
+    [Dpm.eval_count] as of the last applied operation. A closing
+    [Run_finished] records this (not the live [eval_count]) as [Run_finished]'s
     evaluation total so a replay reproduces it exactly; decision-time
     evaluations after the final apply are deliberately excluded. *)

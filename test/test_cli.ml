@@ -1,7 +1,8 @@
-(* The teamsim CLI's help pages: cmdliner renders the top-level page and
-   every subcommand's [--help=plain] without a complaint on stderr, and
-   the documented plan examples keep their '@' through the markup. The
-   binary is a dependency of the test stanza, built next to this one. *)
+(* The teamsim CLI: cmdliner renders the top-level page and every
+   subcommand's [--help=plain] without a complaint on stderr, the
+   documented plan examples keep their '@' through the markup, and
+   [replay] reads teamsimd checkpoints. The binary is a dependency of the
+   test stanza, built next to this one. *)
 
 let exe = "../bin/teamsim.exe"
 
@@ -84,8 +85,77 @@ let test_plan_examples_render () =
       ("sweep", [ "alice@12+5;bob@30+10" ]);
     ]
 
+(* A teamsimd checkpoint is a replay input: [teamsim replay] rebuilds the
+   session through the gated replay, regenerates its trace and checks it
+   converges. A tampered fingerprint must fail the gate. *)
+let test_replay_checkpoint () =
+  let module Json = Adpm_trace.Json in
+  let open Adpm_serve in
+  let tmp suffix =
+    let f = Filename.temp_file "teamsim_ckpt" suffix in
+    Sys.remove f;
+    f
+  in
+  let sock = tmp ".sock" and ckpt = tmp ".jsonl" and tampered = tmp ".jsonl" in
+  let d =
+    Daemon.create
+      (Daemon.default_config ~addr:(Daemon.Unix_path sock)
+         ~scenarios:Adpm_scenarios.Registry.builtin)
+  in
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop d)
+    (fun () ->
+      let req fields =
+        let frame = Daemon.handle d (Json.Obj fields) in
+        if Json.member "ok" frame <> Some (Json.Bool true) then
+          Alcotest.failf "daemon refused: %s" (Json.to_string frame);
+        frame
+      in
+      let opened =
+        req
+          [
+            ("op", Json.Str "open"); ("scenario", Json.Str "lna");
+            ("mode", Json.Str "adpm"); ("seed", Json.Num 2.);
+            ("designer", Json.Str "circuit");
+          ]
+      in
+      let sid = Option.get (Json.member "session" opened) in
+      List.iter
+        (fun line ->
+          ignore
+            (req [ ("op", Json.Str "exec"); ("session", sid); ("line", Json.Str line) ]))
+        [ "auto"; "step"; "auto"; "suggest"; "auto" ];
+      ignore
+        (req
+           [ ("op", Json.Str "checkpoint"); ("session", sid); ("path", Json.Str ckpt) ]));
+  let status, stdout, _ = run [ "replay"; ckpt ] in
+  Alcotest.(check bool) "replay of a checkpoint exits 0" true
+    (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "replay reports convergence" true
+    (contains stdout "converged");
+  let header =
+    match Json.parse (String.trim (read_file ckpt)) with
+    | Ok (Json.Obj fields) ->
+      Json.Obj
+        (List.map
+           (function
+             | "fingerprint", _ -> ("fingerprint", Json.Str "ops=999 tampered")
+             | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "checkpoint header does not parse"
+  in
+  Out_channel.with_open_text tampered (fun oc ->
+      output_string oc (Json.to_string header ^ "\n"));
+  let status, _, stderr = run [ "replay"; tampered ] in
+  Alcotest.(check bool) "tampered checkpoint exits nonzero" true
+    (status <> Unix.WEXITED 0);
+  Alcotest.(check bool) "the error names the fingerprint" true
+    (contains stderr "fingerprint" || contains stderr "recorded");
+  List.iter Sys.remove [ ckpt; tampered ]
+
 let suite =
   [
     ("every --help page is clean", `Quick, test_help_pages_clean);
     ("plan examples keep their @", `Quick, test_plan_examples_render);
+    ("replay reads a teamsimd checkpoint", `Quick, test_replay_checkpoint);
   ]

@@ -278,6 +278,26 @@ let test_cli_equivalence () =
 
 (* {2 Checkpoint / resume} *)
 
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let write_lines path lines =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
+(* [line] with the string field [key] replaced by [value]. *)
+let tamper_field key value line =
+  match Json.parse line with
+  | Ok (Json.Obj fields) ->
+    Json.to_string
+      (Json.Obj
+         (List.map
+            (function k, _ when k = key -> (k, Json.Str value) | kv -> kv)
+            fields))
+  | _ -> Alcotest.failf "line does not parse as an object: %s" line
+
 let exec_ok d sid line =
   str_field "output"
     (expect_ok
@@ -297,6 +317,20 @@ let test_checkpoint_resume () =
                (op "checkpoint"
                   [ ("session", Json.Str sid); ("path", Json.Str ckpt) ]))
         in
+        Alcotest.(check bool) "checkpoint reply counts commands" true
+          (field "commands" frame
+          = Some (Json.Num (float_of_int (List.length script))));
+        Alcotest.(check bool) "checkpoint reply has no events" true
+          (field "events" frame = None);
+        (* a checkpoint is a journal compacted to its header line *)
+        (match read_lines ckpt with
+        | [ header ] ->
+          Alcotest.(check bool) "one teamsimd_journal header line" true
+            (match Json.parse header with
+            | Ok j -> Json.member "teamsimd_journal" j <> None
+            | Error _ -> false)
+        | lines ->
+          Alcotest.failf "checkpoint has %d lines, want 1" (List.length lines));
         (str_field "fingerprint" frame, [ "step"; "auto" ]))
   in
   (* the first daemon is gone (stopped); a fresh one resumes from disk *)
@@ -325,18 +359,43 @@ let test_checkpoint_resume () =
         commands_after);
   Sys.remove ckpt
 
+let resume_frame d path = Daemon.handle d (op "resume" [ ("path", Json.Str path) ])
+
+(* The Rs_io / Rs_corrupt / Rs_mismatch taxonomy on the wire: io,
+   bad_checkpoint, resume_mismatch. *)
 let test_resume_errors () =
   with_daemon (fun d ->
-      ignore
-        (expect_err "io"
-           (Daemon.handle d
-              (op "resume" [ ("path", Json.Str "/nonexistent/ckpt.jsonl") ])));
+      ignore (expect_err "io" (resume_frame d "/nonexistent/ckpt.jsonl"));
       let bad = temp_path ".jsonl" in
-      Out_channel.with_open_text bad (fun oc ->
-          output_string oc "{\"not\":\"a checkpoint\"}\n");
-      ignore
-        (expect_err "bad_checkpoint"
-           (Daemon.handle d (op "resume" [ ("path", Json.Str bad) ])));
+      write_lines bad [ "{\"not\":\"a checkpoint\"}" ];
+      ignore (expect_err "bad_checkpoint" (resume_frame d bad));
+      (* a trace-bearing checkpoint from before checkpoints became
+         compacted journals: refused, and the message names its format *)
+      let legacy_event =
+        Adpm_trace.Codec.to_line
+          {
+            Adpm_trace.Event.seq = 0;
+            clock = 0;
+            event =
+              Adpm_trace.Event.Run_started
+                {
+                  scenario = "simple";
+                  mode = "ADPM";
+                  seed = 3;
+                  engine = "incremental";
+                };
+          }
+      in
+      write_lines bad
+        [
+          "{\"teamsimd_checkpoint\":1,\"scenario\":\"simple\",\"mode\":\"ADPM\",\
+           \"seed\":3,\"designer\":\"alice\",\"commands\":[],\
+           \"fingerprint\":\"ops=0 evals=0 spins=0 solved=false violations=[]\"}";
+          legacy_event;
+        ];
+      let legacy = expect_err "bad_checkpoint" (resume_frame d bad) in
+      Alcotest.(check bool) "refusal names the legacy format" true
+        (contains (str_field "error" legacy) "teamsimd_checkpoint");
       Sys.remove bad;
       (* a real checkpoint with a tampered fingerprint must be refused *)
       let ckpt = temp_path ".jsonl" in
@@ -347,34 +406,11 @@ let test_resume_errors () =
            (Daemon.handle d
               (op "checkpoint"
                  [ ("session", Json.Str sid); ("path", Json.Str ckpt) ])));
-      let contents = In_channel.with_open_text ckpt In_channel.input_all in
-      let header, rest =
-        match String.index_opt contents '\n' with
-        | Some i ->
-          ( String.sub contents 0 i,
-            String.sub contents i (String.length contents - i) )
-        | None -> Alcotest.fail "checkpoint has no header line"
-      in
-      let tampered_header =
-        match Json.parse header with
-        | Ok (Json.Obj fields) ->
-          Json.to_string
-            (Json.Obj
-               (List.map
-                  (function
-                    | "fingerprint", _ ->
-                      ("fingerprint", Json.Str "ops=999 tampered")
-                    | kv -> kv)
-                  fields))
-        | _ -> Alcotest.fail "checkpoint header does not parse"
-      in
-      Out_channel.with_open_text ckpt (fun oc ->
-          output_string oc (tampered_header ^ rest));
-      let frame = Daemon.handle d (op "resume" [ ("path", Json.Str ckpt) ]) in
-      Alcotest.(check bool) "tampered checkpoint refused" true
-        (match Option.bind (field "code" frame) Json.to_str with
-        | Some ("resume_mismatch" | "bad_checkpoint") -> true
-        | _ -> false);
+      write_lines ckpt
+        (List.map (tamper_field "fingerprint" "ops=999 tampered") (read_lines ckpt));
+      ignore (expect_err "resume_mismatch" (resume_frame d ckpt));
+      Alcotest.(check int) "no session left behind by refusals" 1
+        (Daemon.session_count d);
       Sys.remove ckpt)
 
 (* {2 Registry-backed resolution} *)
@@ -701,6 +737,51 @@ let test_journal_compaction () =
             (Daemon.recovered_sessions d2);
           Alcotest.(check string) "fingerprint preserved" fp (status_fp d2 sid)))
 
+(* [resume] reads a live journal, tail entries included, through the
+   same gated replay as crash recovery, but strictly: a diverging entry
+   or a torn line refuses the file instead of keeping a prefix. *)
+let test_resume_live_journal () =
+  with_dir (fun dir ->
+      let d = Daemon.create (journal_config ~dir ()) in
+      Fun.protect
+        ~finally:(fun () -> Daemon.stop d)
+        (fun () ->
+          let before = [ "auto"; "suggest"; "auto"; "step" ] in
+          let after = [ "auto"; "step"; "auto" ] in
+          let sid = open_simple d ~seed:12 in
+          List.iter (fun l -> ignore (exec_ok d sid l)) before;
+          let lines = read_lines (journal_path ~dir sid) in
+          Alcotest.(check int) "header plus one tail entry per exec"
+            (1 + List.length before) (List.length lines);
+          let copy = Filename.concat dir "copy.jsonl" in
+          write_lines copy lines;
+          let frame = expect_ok (resume_frame d copy) in
+          Alcotest.(check string) "live fingerprint reproduced"
+            (status_fp d sid) (str_field "fingerprint" frame);
+          Alcotest.(check bool) "every tail entry replayed" true
+            (field "commands_replayed" frame
+            = Some (Json.Num (float_of_int (List.length before))));
+          let resumed = str_field "session" frame in
+          List.iter
+            (fun l ->
+              Alcotest.(check string)
+                (Printf.sprintf "resumed %S matches the live session" l)
+                (exec_ok d sid l) (exec_ok d resumed l))
+            after;
+          (* strict: a diverging tail entry is a mismatch ... *)
+          write_lines copy
+            (List.mapi
+               (fun i l ->
+                 if i = 2 then tamper_field "fp" "ops=999 tampered" l else l)
+               lines);
+          ignore (expect_err "resume_mismatch" (resume_frame d copy));
+          (* ... and a torn final line is a damaged file *)
+          write_lines copy lines;
+          let oc = open_out_gen [ Open_append ] 0o644 copy in
+          output_string oc "{\"cmd\":\"auto\",\"fp\":\"torn";
+          close_out oc;
+          ignore (expect_err "bad_checkpoint" (resume_frame d copy))))
+
 (* Two daemons must never share a journal dir: the second refuses at
    create; once the first stops, the dir is free again. A stale lock left
    by a SIGKILLed daemon (dead pid) is broken, not honored. *)
@@ -792,7 +873,83 @@ let test_checkpoint_io_errors () =
           (Daemon.session_count d)
       in
       try_path "/nonexistent-dir-adpm/ck.jsonl";
-      if Sys.file_exists "/dev/full" then try_path "/dev/full")
+      if Sys.file_exists "/dev/full" then begin
+        try_path "/dev/full";
+        (* the writer truncates in place: no unlink, no rename over it *)
+        Alcotest.(check bool) "/dev/full is still a character device" true
+          ((Unix.stat "/dev/full").Unix.st_kind = Unix.S_CHR)
+      end)
+
+(* {2 Untraced sessions}
+
+   Sessions run on [Tracer.null]; a traced session emits events only.
+   Every open/exec/status reply and checkpoint fingerprint of a scripted
+   session per builtin scenario x mode is pinned by digest, recorded
+   while sessions still ran with a per-session trace collector (status
+   replies then also carried an "events" count, left out of the digest). *)
+
+let pinned_script =
+  [ "status"; "auto"; "auto"; "suggest"; "step"; "auto"; "props"; "auto";
+    "frobnicate"; "auto"; "step"; "auto"; "auto"; "auto"; "auto"; "step" ]
+
+let test_replies_pinned () =
+  let sock = temp_path ".sock" in
+  let d =
+    Daemon.create
+      (Daemon.default_config ~addr:(Daemon.Unix_path sock)
+         ~scenarios:Adpm_scenarios.Registry.builtin)
+  in
+  let ckpt = temp_path ".jsonl" in
+  let buf = Buffer.create 65536 in
+  let record frame = Buffer.add_string buf (Json.to_string frame ^ "\n") in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop d;
+      if Sys.file_exists ckpt then Sys.remove ckpt)
+    (fun () ->
+      List.iter
+        (fun (sc : Scenario.t) ->
+          List.iter
+            (fun mode ->
+              let designer =
+                List.hd (Dpm.designers (sc.Scenario.sc_build ~mode))
+              in
+              let opened =
+                Daemon.handle d
+                  (op "open"
+                     [
+                       ("scenario", Json.Str sc.Scenario.sc_name);
+                       ("mode", Json.Str (Dpm.mode_to_string mode));
+                       ("seed", Json.Num 7.);
+                       ("designer", Json.Str designer);
+                     ])
+              in
+              record opened;
+              let sid = Json.Str (str_field "session" opened) in
+              List.iter
+                (fun line ->
+                  record
+                    (Daemon.handle d
+                       (op "exec" [ ("session", sid); ("line", Json.Str line) ]));
+                  let status = Daemon.handle d (op "status" [ ("session", sid) ]) in
+                  Alcotest.(check bool) "status has no events" true
+                    (field "events" status = None);
+                  record status)
+                pinned_script;
+              let frame =
+                Daemon.handle d
+                  (op "checkpoint" [ ("session", sid); ("path", Json.Str ckpt) ])
+              in
+              record (Option.get (field "fingerprint" frame));
+              if sc.Scenario.sc_name = "simple" && mode = Dpm.Adpm then
+                Alcotest.(check string) "simple ADPM fingerprint"
+                  "ops=6 evals=225 spins=2 solved=false violations=[8]"
+                  (str_field "fingerprint" frame))
+            [ Dpm.Adpm; Dpm.Conventional ])
+        Adpm_scenarios.Registry.builtin;
+      Alcotest.(check string) "reply digest (4 builtins x 2 modes)"
+        "06b900904905dd2c8d97793ef374e4ed"
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
 
 (* {2 Idempotent requests: the (client, id) reply cache} *)
 
@@ -1056,12 +1213,14 @@ let suite =
     ("warnings keep the newest 256", `Quick, test_warnings_bounded);
     ("journal fingerprint gate", `Quick, test_journal_fingerprint_gate);
     ("journal auto-compaction", `Quick, test_journal_compaction);
+    ("resume reads a live journal", `Quick, test_resume_live_journal);
     ("journal dir lockfile", `Quick, test_journal_lockfile);
     ("unusable journal dir refused", `Quick, test_journal_dir_unusable);
     ( "journal write failure refuses open",
       `Quick,
       test_journal_write_failure_refuses_open );
     ("checkpoint io errors", `Quick, test_checkpoint_io_errors);
+    ("untraced replies are pinned", `Quick, test_replies_pinned);
     ( "duplicate request id answered from cache",
       `Quick,
       test_duplicate_id_answered_from_cache );
