@@ -95,18 +95,6 @@ let () =
   | Some n when n >= 1 -> ()
   | Some _ | None ->
     die "%s lacks designer_us_per_turn_spread.repeats" file);
-  (* the discrete-event engine must both exist and agree: a missing or
-     non-finite overhead ratio means the scheduler comparison silently
-     stopped running, and des_agrees=false means the latency-0 fingerprint
-     diverged from the lockstep reference — both are hard failures *)
-  let des_overhead = speedup "des_overhead" in
-  (match Option.bind (Json.member "des_agrees" json) Json.to_bool with
-  | Some true -> ()
-  | Some false ->
-    die
-      "des_agrees is false: the discrete-event engine's latency-0 summaries \
-       diverged from the lockstep loop"
-  | None -> die "%s lacks the des_agrees field" file);
   let fast =
     match Option.bind (Json.member "fast" json) Json.to_bool with
     | Some b -> b
@@ -209,12 +197,12 @@ let () =
     "bench-smoke check OK: incremental_speedup=%.2fx \
      fixpoint_words_per_rev=%.2f kernel_ns_per_op=%.1f \
      designer_words_per_turn=%.1f designer_us_per_turn=%.1f \
-     domains_speedup=%.2fx (jobs=%d, cores=%d) des_overhead=%.2fx \
+     domains_speedup=%.2fx (jobs=%d, cores=%d) \
      adapt_advantage=%.2fx \
      gen_scenarios_per_s=%.1f fuzz_throughput=%.1f/s \
      teamsimd=%d sessions @ %.0f ops/s (p99 %.2fms) recovery=%.1fms \
      chaos_sessions=%d/%d ok\n"
     incremental fixpoint_words kernel_ns designer_words designer_us domains
     domains_jobs cores
-    des_overhead adapt_advantage gen_rate fuzz teamsimd_sessions teamsimd_ops
+    adapt_advantage gen_rate fuzz teamsimd_sessions teamsimd_ops
     teamsimd_p99 recovery_ms chaos_sessions chaos_sessions

@@ -93,7 +93,7 @@ let gen_scenarios_per_s () =
   rate
 
 let results_json ~fig9_seeds ~domains ~adapt ~gen_rate ~kernel_ns
-    ~fixpoint_words ~designer verdicts incr des faults fuzz teamsimd chaos =
+    ~fixpoint_words ~designer verdicts incr faults fuzz teamsimd chaos =
   let designer_words, designer_repeats, (designer_us, designer_us_min, designer_us_max) =
     designer
   in
@@ -115,8 +115,6 @@ let results_json ~fig9_seeds ~domains ~adapt ~gen_rate ~kernel_ns
             ("min", Json.Num designer_us_min);
             ("max", Json.Num designer_us_max);
           ] );
-      ("des_overhead", Json.Num des.Des_overhead.overhead);
-      ("des_agrees", Json.Bool des.Des_overhead.agrees);
       ("fault_sweep", fault_sweep_json faults);
       ("adapt_advantage", Json.Num adapt.Exp_adapt.adapt_advantage);
       ("gen_scenarios_per_s", Json.Num gen_rate);
@@ -276,13 +274,6 @@ let () =
   in
   print_string (Exp_faults.render faults);
 
-  section "Discrete-event scheduler: overhead vs the lockstep loop (latency 0)";
-  let des =
-    timed "des_overhead" (fun () ->
-        Des_overhead.run ~seeds:(if fast then 3 else 12) ())
-  in
-  print_string (Des_overhead.render des);
-
   section "teamsimd: concurrent interactive sessions over the socket protocol";
   (* No domains: the daemon is a single-threaded select loop hosted in
      this process. *)
@@ -365,7 +356,7 @@ let () =
     results_json ~fig9_seeds ~domains ~adapt ~gen_rate ~kernel_ns
       ~fixpoint_words
       ~designer:(designer_words, designer_repeats, designer_us)
-      (Exp_fig9.verdicts fig9) incr des faults fuzz teamsimd chaos
+      (Exp_fig9.verdicts fig9) incr faults fuzz teamsimd chaos
   in
   let oc = open_out "BENCH_results.json" in
   Fun.protect

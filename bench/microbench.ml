@@ -113,7 +113,7 @@ let fixpoint_words_per_rev () =
 
 (* {2 Designer decision cost}
 
-   Lockstep team runs of receiver in both modes over fixed seeds, with the
+   Synchronous team runs of receiver in both modes over fixed seeds, with the
    engine's turn discipline (a shuffled round; everyone observes every
    outcome). [choose] wraps every [Designer.choose_operation] call, so
    what it measures is the designer's decision alone: f_p, f_a, f_v and

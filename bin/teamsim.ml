@@ -126,9 +126,7 @@ let shift_plan_arg =
            $(b,p_budget>=140@30;gmin0>=9.5@60): at virtual time TICK, \
            re-assign requirement PROP to FLOOR through the DPM. An ADPM \
            team re-propagates immediately; a conventional team discovers \
-           the moved requirement only when it next verifies. Needs the \
-           discrete-event engine (any nonzero latency or duration works; \
-           latency 0 is fine too — only lockstep refuses shifts).")
+           the moved requirement only when it next verifies.")
 
 let value_policy_arg =
   let policy_conv =

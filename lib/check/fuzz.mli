@@ -21,7 +21,6 @@ open Adpm_core
 open Adpm_trace
 module Model = Adpm_sim.Model
 module Fault = Adpm_fault.Fault
-module Config = Adpm_teamsim.Config
 module Scenario = Adpm_teamsim.Scenario
 
 type schedule = {
@@ -34,9 +33,6 @@ type schedule = {
 val schedule_to_string : schedule -> string
 (** e.g. ["seed=7 latency=2 duration=uniform:1 drop=0.1 dup=0 jitter=3
     crashes=alice@5+3"]. *)
-
-val config_of_schedule : mode:Dpm.mode -> ?max_ops:int -> schedule -> Config.t
-(** The engine configuration a schedule denotes (defaults elsewhere). *)
 
 val gen_schedule :
   rng:Adpm_util.Rng.t ->
@@ -57,10 +53,6 @@ val run_schedule :
 (** One engine run under the schedule, traced into an unbounded
     collector — the checker never sees a truncated stream. Deterministic
     in (scenario, mode, schedule). *)
-
-val default_suite : schedule -> Prop.t list
-(** {!Props.suite} tuned to the schedule: horizon from latency + jitter,
-    crash deadlines from the plan. *)
 
 type violation = {
   v_prop : string;  (** failing property *)
@@ -102,7 +94,9 @@ val fuzz :
   report
 (** Run up to [count] random schedules; on the first property failure,
     shrink it and stop. [progress] is called with the 1-based index
-    after each clean schedule. *)
+    after each clean schedule. [suite] (also {!shrink}'s) defaults to
+    {!Props.suite} tuned to the schedule: horizon from latency + jitter,
+    crash deadlines from the plan. *)
 
 val write_artifact :
   prefix:string ->

@@ -122,31 +122,6 @@ let never ~name ~doc pred =
         });
   }
 
-let eventually ~name ~doc ?(unless = fun _ -> false) pred =
-  {
-    p_name = name;
-    p_doc = doc;
-    p_instantiate =
-      (fun () ->
-        let seen = ref false in
-        {
-          i_step =
-            (fun _ ev ->
-              if (not !seen) && pred ev then seen := true;
-              None);
-          i_finish =
-            (fun facts ->
-              if !seen || unless facts then None
-              else
-                Some
-                  {
-                    f_reason = doc ^ ": never happened";
-                    f_from_seq = 0;
-                    f_to_seq = facts.fx_last_seq;
-                  });
-        });
-  }
-
 let leads_to ~name ~doc ~trigger ~key ~describe ~discharge
     ?(excuse = fun _ _ -> None) ?(at_end = fun _ _ -> false) () =
   {
@@ -353,9 +328,6 @@ let check ?(dropped = 0) props events =
         in
         { c_prop = p.p_name; c_doc = p.p_doc; c_verdict = v })
       live
-
-let failed results =
-  List.filter (fun r -> r.c_verdict <> Pass) results
 
 let render results =
   let b = Buffer.create 256 in

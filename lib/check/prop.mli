@@ -3,7 +3,7 @@
     A property is a named description that can be instantiated into a
     fresh stateful checker; {!check} runs a whole suite over one recorded
     trace in a single pass. Properties are built from a small combinator
-    vocabulary — {!never}, {!eventually}, {!leads_to}, {!after_never},
+    vocabulary — {!never}, {!leads_to}, {!after_never},
     {!bounded_count} — each of which reports the {e witnessing window}
     (first and last sequence numbers involved) when it fails.
 
@@ -61,7 +61,7 @@ val roster_size : facts -> int
 
 val op_count : facts -> int
 (** [Op_completed] events seen — [0] for traces without virtual-time
-    information (lockstep runs). *)
+    information (interactive sessions). *)
 
 val crashed_during : facts -> string -> int -> int -> bool
 (** [crashed_during f d t1 t2]: did designer [d] have a crash window
@@ -83,15 +83,6 @@ val never :
   name:string -> doc:string -> (Event.stamped -> string option) -> t
 (** Fails on the first event the predicate condemns (returning
     [Some reason]). *)
-
-val eventually :
-  name:string ->
-  doc:string ->
-  ?unless:(facts -> bool) ->
-  (Event.stamped -> bool) ->
-  t
-(** Fails at end of trace when no event satisfied the predicate, unless
-    the [unless] policy excuses the whole trace. *)
 
 val leads_to :
   name:string ->
@@ -153,9 +144,6 @@ val truncation : ?dropped:int -> Event.stamped list -> int option
 val check : ?dropped:int -> t list -> Event.stamped list -> result list
 (** Evaluate every property over the trace in one pass, in order.
     Refuses truncated traces: every verdict is then [Truncated]. *)
-
-val failed : result list -> result list
-(** The results that are not [Pass]. *)
 
 val render : result list -> string
 (** One line per property. *)

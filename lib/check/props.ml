@@ -39,7 +39,7 @@ let notified_or_resolved ~horizon =
         Some (fun ob -> ob.o_recipient = recipient && ob.o_op = op_index)
       | _ -> None)
     ~at_end:(fun facts ob ->
-      (* lockstep traces carry no virtual-time delivery events at all *)
+      (* interactive-session traces carry no virtual-time events at all *)
       Prop.op_count facts = 0
       ||
       match Prop.completion_of facts ob.o_op with

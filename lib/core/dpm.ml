@@ -49,7 +49,6 @@ type t = {
   mutable hist : history_entry list; (* reversed *)
   mutable d_tracer : Tracer.t;
   mutable d_revision_work : int; (* HC4 revisions done by DPM propagations *)
-  d_heur_cache : Heuristic_data.Cache.t;
   (* relaxed-feasibility memo, valid for one network revision *)
   mutable d_relaxed_rev : int;
   d_relaxed : (string, Domain.t) Hashtbl.t;
@@ -106,7 +105,6 @@ let create ~mode ?(max_revisions = 10_000) net ~objects ~top =
       hist = [];
       d_tracer = Tracer.null;
       d_revision_work = 0;
-      d_heur_cache = Heuristic_data.Cache.create ();
       d_relaxed_rev = -1;
       d_relaxed = Hashtbl.create 32;
       d_problem_rev = 0;
@@ -247,14 +245,6 @@ let known_statuses t =
   List.map
     (fun c -> (c.Constr.id, known_status t c.Constr.id))
     (Network.constraints t.net)
-
-let heuristic_info t prop =
-  match t.d_mode with
-  | Conventional -> None
-  | Adpm ->
-    if Network.mem_prop t.net prop then
-      Some (Heuristic_data.Cache.mine_prop t.d_heur_cache t.net prop)
-    else None
 
 let relaxed_feasible_group t ~target ~unpin =
   match t.d_mode with

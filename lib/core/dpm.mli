@@ -162,10 +162,6 @@ val known_statuses : t -> (int * Constr.status) list
     simulation engine snapshots this after the ADPM setup propagation to
     seed each designer's believed statuses (the kickoff meeting). *)
 
-val heuristic_info : t -> string -> Heuristic_data.prop_info option
-(** Mined heuristic-support data for a property; [None] in conventional
-    mode (the information does not exist without propagation). *)
-
 val relaxed_feasible : t -> string -> Adpm_interval.Domain.t
 (** ADPM only: feasible subspace of a property ignoring its own assignment
     (constraint-margin information used during conflict resolution). The

@@ -6,7 +6,6 @@ type event =
   | Violation_resolved of int
   | Feasible_reduced of string * Domain.t
   | Feasible_empty of string
-  | Problem_update of int * Problem.status
 
 type notification = { n_recipient : string; n_events : event list }
 
@@ -73,8 +72,6 @@ let event_label = function
   | Violation_resolved cid -> Printf.sprintf "violation-resolved:%d" cid
   | Feasible_reduced (prop, _) -> "feasible-reduced:" ^ prop
   | Feasible_empty prop -> "feasible-empty:" ^ prop
-  | Problem_update (pid, status) ->
-    Printf.sprintf "problem-update:%d:%s" pid (Problem.status_to_string status)
 
 let detected_violations n =
   List.filter_map

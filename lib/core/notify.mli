@@ -18,7 +18,6 @@ type event =
       (** property and its new, smaller feasible subspace *)
   | Feasible_empty of string
       (** every value of the property was found infeasible *)
-  | Problem_update of int * Problem.status
 
 type notification = { n_recipient : string; n_events : event list }
 

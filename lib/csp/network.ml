@@ -365,9 +365,3 @@ let check_constraint_point t c = Constr.check_point (env_point t) c
 let solved t =
   all_numeric_bound t
   && List.for_all (fun c -> check_constraint_point t c) (constraints t)
-
-let reset_assignments t =
-  Hashtbl.iter (fun _ p -> p.p_assigned <- None) t.props;
-  invalidate_prop_state t;
-  clear_dirty t;
-  bump t

@@ -64,11 +64,9 @@ val clear_dirty : t -> unit
 
 val prop_state : t -> pstate option
 (** The box store persisted by the last propagation run, if still valid.
-    Structural changes ({!add_prop}, {!add_constraint},
-    {!reset_assignments}) invalidate it. *)
+    Structural changes ({!add_prop}, {!add_constraint}) invalidate it. *)
 
 val store_prop_state : t -> pstate -> unit
-val invalidate_prop_state : t -> unit
 
 (** {1 Properties} *)
 
@@ -117,10 +115,6 @@ val env_box : t -> string -> Interval.t
 (** As {!box} but usable directly as an HC4 environment.
     @raise Expr.Unbound_variable for symbolic properties.
     @raise Invalid_argument for unknown properties. *)
-
-val env_point : t -> string -> float
-(** Assigned numeric value.
-    @raise Expr.Unbound_variable when unbound. *)
 
 (** {1 Constraints} *)
 
@@ -200,5 +194,3 @@ val check_constraint_point : t -> Constr.t -> bool
 val solved : t -> bool
 (** All numeric properties bound and every constraint satisfied at the
     assignment — the simulation termination condition of Section 3.1.2. *)
-
-val reset_assignments : t -> unit

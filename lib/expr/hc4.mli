@@ -9,33 +9,25 @@
     expression tree, then a backward sweep projects the constraint's target
     interval onto each variable, shrinking its domain.
 
-    One call to {!revise} is one "constraint evaluation" in the paper's cost
-    accounting. *)
+    One call to {!revise_kernel} is one "constraint evaluation" in the
+    paper's cost accounting. *)
 
 open Adpm_interval
 
-type result =
-  | Empty
-      (** No point of the box can satisfy the constraint: the constraint is
-          certainly violated over the current domains. *)
-  | Narrowed of (string * Interval.t) list
-      (** For each variable of the expression, the narrowed interval (the
-          intersection of its input box with every occurrence's projection).
-          Unchanged variables are included. *)
-
-val revise :
-  env:(string -> Interval.t) -> Expr.t -> Interval.t -> result
-(** [revise ~env e target] enforces [e IN target] on the box [env].
-    [env] must provide an interval for every variable of [e]. *)
+val bound_slack : float -> float
+(** [bound_slack t] is the magnitude-relative slack ([1e-11 * max 1 |t|])
+    a projection's finite bound [t] is widened by before it is
+    intersected, so that a one-ulp rounding gap never reads as Empty. *)
 
 (** {1 Compiled flat kernel}
 
-    The allocation-free fast path for the propagation inner loop: an
+    The propagation inner loop, allocation-free: an
     expression is {!compile}d once into a postorder opcode program with
     preallocated scratch, then {!revise_kernel} revises it directly
     against a struct-of-arrays box store ([lo]/[hi] float arrays indexed
     by a dense property id), allocating nothing. Results are bit-identical
-    to {!revise} — every float formula mirrors the boxed [Interval]
+    to the boxed HC4 interpreter kept as the test reference
+    ([test/hc4_ref.ml]) — every float formula mirrors the boxed [Interval]
     operations branch for branch, and the backward sweep recurses in the
     same order. *)
 

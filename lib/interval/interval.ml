@@ -111,7 +111,6 @@ let abs_i a =
 
 let min_i a b = { lo = min a.lo b.lo; hi = min a.hi b.hi }
 let max_i a b = { lo = max a.lo b.lo; hi = max a.hi b.hi }
-let scale k a = mul (of_point k) a
 
 let certainly_le a b = a.hi <= b.lo
 let certainly_eq a b = is_point a && is_point b && a.lo = b.lo

@@ -88,8 +88,6 @@ val ln_i : t -> t option
 val abs_i : t -> t
 val min_i : t -> t -> t
 val max_i : t -> t -> t
-val scale : float -> t -> t
-(** [scale k a] is [mul (of_point k) a]. *)
 
 (** {1 Certainty tests}
 

@@ -3,8 +3,6 @@ open Adpm_teamsim
 let diff_pair_w = "Diff-pair-W"
 let freq_ind = "Freq-ind"
 let beam_length = "Beam-length"
-let min_gain = "Min-gain"
-let max_power = "Max-power"
 let min_zin = "Min-LNA-Zin"
 
 (* The scenario's one definition: [scenario] is elaborated from this text,

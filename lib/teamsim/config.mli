@@ -51,8 +51,7 @@ type t = {
       (** deterministic fault injection: notification drop/duplication
           probabilities, delivery jitter, and scheduled designer
           crash/restart windows (default {!Adpm_fault.Fault.none}, which
-          keeps runs bit-identical to the fault-free engine and is the
-          only plan the lockstep engine accepts) *)
+          keeps runs bit-identical to the fault-free engine) *)
   delta_divisor : float;
       (** repair step = |E_i| / delta_divisor (paper: about 100) *)
   adaptive_delta : bool;
@@ -72,8 +71,7 @@ type t = {
       (** f_v variant for forward synthesis (default [Endpoint]) *)
   shifts : Shift.plan;
       (** requirement shifts applied at virtual time (default
-          {!Shift.none}); only the discrete-event engine honours a
-          non-empty plan *)
+          {!Shift.none}) *)
 }
 
 val default : mode:Dpm.mode -> seed:int -> t

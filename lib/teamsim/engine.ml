@@ -13,14 +13,7 @@ type outcome = {
   o_makespan : int;
 }
 
-(* {2 Shared run scaffolding}
-
-   Everything outside the turn-taking discipline is identical between the
-   discrete-event driver and the reference lockstep loop: scenario build,
-   [Run_started], Rng stream layout (one split per designer, in designer
-   order), the ADPM setup propagation with its charged setup record, and
-   the closing summary. Keeping it in one place is what makes the
-   latency-0 equivalence contract auditable. *)
+(* {2 Run setup and summary} *)
 
 let prepare ~tracer cfg scenario ~record =
   let dpm = scenario.Scenario.sc_build ~mode:cfg.Config.mode in
@@ -99,75 +92,6 @@ let finish ~tracer cfg scenario dpm ~setup_evals ~profile ~makespan ~faults =
   in
   { o_summary = summary; o_dpm = dpm; o_makespan = makespan }
 
-(* {2 The reference lockstep loop}
-
-   The original engine: one while-loop round per shuffle, every designer
-   observes every outcome inline. Kept verbatim as the executable
-   specification the discrete-event driver is tested against (and as the
-   baseline for the scheduler-overhead benchmark). *)
-
-let run_lockstep ?(on_op = fun _ -> ()) ?(tracer = Tracer.null) cfg scenario =
-  Config.validate_exn cfg;
-  if not (Fault.is_none cfg.Config.faults) then
-    invalid_arg
-      "Engine.run_lockstep: fault injection needs the discrete-event engine";
-  if cfg.Config.shifts <> [] then
-    invalid_arg
-      "Engine.run_lockstep: requirement shifts need the discrete-event engine";
-  let profile = ref [] in
-  let record r =
-    profile := r :: !profile;
-    on_op r
-  in
-  let dpm, rng, designers, setup_evals = prepare ~tracer cfg scenario ~record in
-  let finished = ref false in
-  let continue_run () =
-    (not !finished) && Dpm.op_count dpm < cfg.Config.max_ops
-  in
-  while continue_run () do
-    let order = Rng.shuffle rng designers in
-    let acted = ref false in
-    List.iter
-      (fun designer ->
-        if continue_run () then begin
-          (* include evaluations spent while *choosing* (e.g. relaxed
-             feasibility queries) in this operation's cost *)
-          let evals_before = Dpm.eval_count dpm in
-          match Designer.choose_operation designer dpm with
-          | None -> ()
-          | Some op ->
-            acted := true;
-            if Tracer.active tracer then
-              Tracer.emit tracer
-                (Event.Op_submitted
-                   {
-                     op = Operator.to_trace_spec op;
-                     choose_evaluations = Dpm.eval_count dpm - evals_before;
-                   });
-            let result = Dpm.apply dpm op in
-            (* everyone learns the outcome (the NM relays it) *)
-            List.iter
-              (fun peer ->
-                Designer.observe peer dpm ~own:(peer == designer) op result)
-              designers;
-            record
-              {
-                Metrics.m_index = result.Dpm.r_index;
-                m_designer = Designer.name designer;
-                m_kind = Operator.kind_label op;
-                m_evaluations = Dpm.eval_count dpm - evals_before;
-                m_new_violations = List.length result.Dpm.r_newly_violated;
-                m_known_violations = List.length (Dpm.known_violations dpm);
-                m_spin = result.Dpm.r_spin;
-              };
-            if Dpm.solved dpm then finished := true
-        end)
-      order;
-    if not !acted then finished := true
-  done;
-  finish ~tracer cfg scenario dpm ~setup_evals ~profile
-    ~makespan:(Dpm.op_count dpm) ~faults:Metrics.no_faults
-
 (* {2 The discrete-event driver} *)
 
 type des_event =
@@ -198,16 +122,18 @@ let op_class op =
   | Operator.Verification _ -> Model.Verification
   | Operator.Decompose _ -> Model.Decompose
 
-(* Virtual-time semantics, and why latency 0 is bit-identical to the
-   lockstep loop:
+(* Virtual-time semantics, and why latency 0 is bit-identical to a
+   synchronous loop in which every designer observes every outcome right
+   after it executes (the golden run fingerprints in [test/golden_runs.ml]
+   were checked against such a loop):
 
    - Turns are serialized: [Next_turn] is only scheduled from [Round_start]
      or [Op_done], so at most one operation is ever in flight and durations
      stretch the clock without reordering decisions.
-   - The shuffle is drawn once per [Round_start] from the same shared Rng
-     the lockstep loop uses, and a designer's own stream is consumed only
-     inside [choose_operation] — so every random draw happens in the same
-     order.
+   - The shuffle is drawn once per [Round_start] from the run's shared
+     Rng, and a designer's own stream is consumed only inside
+     [choose_operation] — so every random draw happens in the same order
+     as in the synchronous loop.
    - Outcomes are delivered to mailboxes ([Designer.deliver]) and absorbed
      at the start of the recipient's next turn ([Designer.drain]).
      [observe] mutates only the observer's private state, so deferring it

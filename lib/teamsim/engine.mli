@@ -15,8 +15,9 @@
     operation completes (a designer's own feedback is instant). Designers
     absorb queued deliveries at the start of their next turn. At latency 0
     this is {b bit-identical} — full summary, per-op profile included — to
-    the original lockstep loop, which {!run_lockstep} preserves as the
-    executable reference. *)
+    a synchronous loop in which every designer observes every outcome
+    right after it executes; golden run fingerprints
+    ([test/golden_runs.ml]) pin it. *)
 
 open Adpm_core
 
@@ -25,8 +26,7 @@ type outcome = {
   o_dpm : Dpm.t;  (** final state, for inspection *)
   o_makespan : int;
       (** final virtual-clock reading in scheduler ticks. Under the unit
-          duration model and latency 0 this equals the operation count;
-          for {!run_lockstep} it is defined as the operation count. *)
+          duration model and latency 0 this equals the operation count. *)
 }
 
 val run :
@@ -47,21 +47,6 @@ val run :
     delivery, [Run_finished]) and attaches the tracer to the DPM so
     execution-level events flow through the same stream. The caller owns
     the tracer and must [Tracer.close] it.
-
-    @raise Invalid_argument if the configuration fails
-    {!Config.validate}. *)
-
-val run_lockstep :
-  ?on_op:(Metrics.op_record -> unit) ->
-  ?tracer:Adpm_trace.Tracer.t ->
-  Config.t ->
-  Scenario.t ->
-  outcome
-(** The original synchronous loop, kept as the executable specification
-    {!run} is tested against (and as the baseline for the
-    scheduler-overhead benchmark). Ignores [Config.latency] and
-    [Config.duration_model]: every outcome is observed by every designer
-    inline, immediately after the operation executes.
 
     @raise Invalid_argument if the configuration fails
     {!Config.validate}. *)

@@ -31,8 +31,8 @@ type report = {
       (** mean [delivered_at - sent_at] over deliveries, in virtual ticks
           (nan when the trace has none) *)
   r_makespan : int;
-      (** latest virtual [Op_completed] timestamp; [0] for lockstep
-          traces, which carry no virtual time *)
+      (** latest virtual [Op_completed] timestamp; [0] for
+          interactive-session traces, which carry no virtual time *)
   r_dropped : int;  (** notifications lost by the fault injector *)
   r_duplicated : int;  (** notifications duplicated by the fault injector *)
   r_crashes : int;  (** scheduled designer crashes that fired *)

@@ -38,7 +38,7 @@ type report = {
   r_notifications : int;
   r_turns : int;
       (** [Turn_started] events — live-designer turns the discrete-event
-          engine granted (0 for lockstep traces) *)
+          engine granted (0 for interactive-session traces) *)
   r_deliveries : int;
       (** [Notification_delivered] events — teammate deliveries recorded
           by the discrete-event engine *)

@@ -103,7 +103,7 @@ type t =
   | Op_completed of { index : int; at : int }
       (** Emitted by the discrete-event engine when the operation's
           virtual duration elapses ([at] is in scheduler ticks); absent
-          from lockstep-loop traces. *)
+          from interactive-session traces. *)
   | Turn_started of { designer : string; at : int }
       (** A live designer's turn began at virtual time [at]: it drains its
           mailbox and considers acting (possibly choosing nothing). Crashed

@@ -108,8 +108,8 @@ let test_p1_excusals () =
   (* still in flight: the makespan never outruns the delivery window *)
   check_verdict "in-flight at halt is excused" false p1
     (stamp [ executed 0; pushed 0; Event.Op_completed { index = 0; at = 1 } ]);
-  (* lockstep traces have no virtual-time events at all *)
-  check_verdict "lockstep trace is vacuous" false p1
+  (* interactive-session traces have no virtual-time events at all *)
+  check_verdict "trace without virtual time is vacuous" false p1
     (stamp [ executed 0; pushed 0 ]);
   (* the actor's own feedback is local, never delivered as a teammate push *)
   check_verdict "own push is excused" false p1

@@ -143,15 +143,13 @@ let test_adpm_propagation_after_synthesis () =
 let test_adpm_heuristic_info () =
   let dpm, _, _, _ = fixture Dpm.Adpm in
   ignore (Dpm.apply dpm (synth "alice" 1 [ ("xa", 4.) ]));
-  match Dpm.heuristic_info dpm "xb" with
-  | None -> Alcotest.fail "ADPM must expose heuristic data"
-  | Some info ->
-    Alcotest.(check int) "beta xb" 2 info.Heuristic_data.hi_beta;
-    (match Domain.hull info.Heuristic_data.hi_feasible with
-    | Some iv ->
-      Alcotest.(check bool) "xb window [1,6]" true
-        (Interval.lo iv >= 0.99 && Interval.hi iv <= 6.01)
-    | None -> Alcotest.fail "xb window expected")
+  let info = Heuristic_data.mine_prop (Dpm.network dpm) "xb" in
+  Alcotest.(check int) "beta xb" 2 info.Heuristic_data.hi_beta;
+  match Domain.hull info.Heuristic_data.hi_feasible with
+  | Some iv ->
+    Alcotest.(check bool) "xb window [1,6]" true
+      (Interval.lo iv >= 0.99 && Interval.hi iv <= 6.01)
+  | None -> Alcotest.fail "xb window expected"
 
 let test_adpm_object_version_bumped () =
   let dpm, _, _, _ = fixture Dpm.Adpm in

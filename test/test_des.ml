@@ -1,8 +1,8 @@
 (* The discrete-event engine's contracts.
 
-   The load-bearing one: at latency 0 (any duration model), Engine.run is
-   bit-identical — whole summary, per-op profile included — to the
-   preserved lockstep loop, across every scenario, both modes, and a
+   The load-bearing one: at latency 0 (any duration model), Engine.run
+   reproduces the golden run fingerprints ([Golden_runs]) — whole summary,
+   per-op profile included — across every scenario, both modes, and a
    spread of seeds. Then the latency > 0 behaviours: delivery timestamps
    strictly after the originating operation, determinism, replayability,
    and the virtual makespan. *)
@@ -11,15 +11,6 @@ open Adpm_core
 open Adpm_teamsim
 open Adpm_scenarios
 open Adpm_trace
-
-let scenarios =
-  [
-    Simple.scenario;
-    Lna.scenario;
-    Sensor.scenario;
-    Receiver.scenario;
-    Generated.scenario (Generated.default_params ~subsystems:4 ~vars:3);
-  ]
 
 let cfg ?(latency = 0) ?(duration_model = Adpm_sim.Model.unit_duration) mode
     seed =
@@ -30,41 +21,19 @@ let cfg ?(latency = 0) ?(duration_model = Adpm_sim.Model.unit_duration) mode
     duration_model;
   }
 
-(* {2 Latency-0 equivalence} *)
+(* {2 Latency 0: the golden fingerprints} *)
 
-let check_identical label a b =
-  (* compare field by field first so a mismatch names what diverged *)
-  Alcotest.(check bool)
-    (label ^ ": completed")
-    a.Metrics.s_completed b.Metrics.s_completed;
-  Alcotest.(check int) (label ^ ": operations") a.Metrics.s_operations
-    b.Metrics.s_operations;
-  Alcotest.(check int) (label ^ ": evaluations") a.Metrics.s_evaluations
-    b.Metrics.s_evaluations;
-  Alcotest.(check int) (label ^ ": spins") a.Metrics.s_spins b.Metrics.s_spins;
-  Alcotest.(check bool)
-    (label ^ ": full summary incl. profile")
-    true (a = b)
+let test_latency0_golden () =
+  Golden_runs.check_grid Golden_runs.ops500
+    (fun mode seed -> cfg mode seed)
+    Golden_runs.scenarios [ 1; 2; 3; 4; 5 ]
 
-let test_latency0_equivalence () =
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun seed ->
-              let c = cfg mode seed in
-              let des = (Engine.run c scenario).Engine.o_summary in
-              let reference =
-                (Engine.run_lockstep c scenario).Engine.o_summary
-              in
-              check_identical
-                (Printf.sprintf "%s/%s seed %d" scenario.Scenario.sc_name
-                   (Dpm.mode_to_string mode) seed)
-                des reference)
-            [ 1; 2; 3; 4; 5 ])
-        [ Dpm.Adpm; Dpm.Conventional ])
-    scenarios
+(* the Fig. 9 grid at the default configuration, twelve seeds *)
+let test_default_config_golden () =
+  Golden_runs.check_grid Golden_runs.default
+    (fun mode seed -> Config.default ~mode ~seed)
+    [ ("sensor", Sensor.scenario); ("receiver", Receiver.scenario) ]
+    (List.init 12 succ)
 
 let test_duration_model_invariant_at_latency0 () =
   let stretched =
@@ -87,10 +56,7 @@ let test_duration_model_invariant_at_latency0 () =
 let test_makespan_counts_ops_at_unit_duration () =
   let outcome = Engine.run (cfg Dpm.Adpm 1) Sensor.scenario in
   Alcotest.(check int) "makespan = operation count (uniform:1, latency 0)"
-    outcome.Engine.o_summary.Metrics.s_operations outcome.Engine.o_makespan;
-  let lockstep = Engine.run_lockstep (cfg Dpm.Adpm 1) Sensor.scenario in
-  Alcotest.(check int) "lockstep reports the same makespan"
-    outcome.Engine.o_makespan lockstep.Engine.o_makespan
+    outcome.Engine.o_summary.Metrics.s_operations outcome.Engine.o_makespan
 
 let test_engine_validates_config () =
   let bad = { (cfg Dpm.Adpm 1) with Config.max_ops = 0 } in
@@ -99,8 +65,7 @@ let test_engine_validates_config () =
     | (_ : Engine.outcome) -> Alcotest.fail "expected Invalid_argument"
     | exception Invalid_argument _ -> ()
   in
-  raises (fun () -> Engine.run bad Simple.scenario);
-  raises (fun () -> Engine.run_lockstep bad Simple.scenario)
+  raises (fun () -> Engine.run bad Simple.scenario)
 
 (* {2 Latency > 0} *)
 
@@ -169,7 +134,7 @@ let test_latency_deterministic () =
 let test_latency_trace_replays () =
   let c = cfg ~latency:2 Dpm.Adpm 3 in
   let _, events = traced_run c Sensor.scenario in
-  let report = Replay.run ~resolve:(Scenario.resolver scenarios) events in
+  let report = Replay.run ~resolve:Registry.resolve events in
   Alcotest.(check bool) "latency trace replays and converges" true
     (Replay.converged report)
 
@@ -299,10 +264,6 @@ let test_shift_rejections () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" label
     | exception Invalid_argument _ -> ()
   in
-  expect_invalid "lockstep refuses shifts" (fun () ->
-      Engine.run_lockstep
-        (shift_cfg ~shifts:[ squeeze ] Dpm.Adpm 1)
-        gen_scenario);
   expect_invalid "unknown property" (fun () ->
       Engine.run
         (shift_cfg
@@ -322,15 +283,12 @@ let test_headroom_policy_runs () =
   List.iter
     (fun seed ->
       let c = shift_cfg ~policy:Config.Headroom Dpm.Adpm seed in
-      let des = (Engine.run c gen_scenario).Engine.o_summary in
+      let s =
+        Golden_runs.check Golden_runs.headroom ~name:"gen3x2" c gen_scenario
+      in
       Alcotest.(check bool)
         (Printf.sprintf "headroom seed %d completes" seed)
-        true des.Metrics.s_completed;
-      (* the policy is engine-independent, like every designer choice *)
-      let reference = (Engine.run_lockstep c gen_scenario).Engine.o_summary in
-      Alcotest.(check bool)
-        (Printf.sprintf "headroom seed %d: DES = lockstep" seed)
-        true (des = reference))
+        true s.Metrics.s_completed)
     [ 1; 2; 3 ]
 
 let test_headroom_policy_is_live () =
@@ -349,8 +307,9 @@ let test_headroom_trace_replays () =
 
 let suite =
   [
-    ("latency-0 DES = lockstep (all scenarios)", `Slow,
-     test_latency0_equivalence);
+    ("latency-0 runs match golden rows", `Slow, test_latency0_golden);
+    ("default-config runs match golden rows", `Slow,
+     test_default_config_golden);
     ("duration model invariant at latency 0", `Slow,
      test_duration_model_invariant_at_latency0);
     ("makespan counts operations", `Quick,
@@ -369,7 +328,7 @@ let suite =
     ("conventional pays more after a shift", `Slow,
      test_conventional_pays_more_after_shift);
     ("bad shift plans are rejected", `Quick, test_shift_rejections);
-    ("headroom policy runs (DES = lockstep)", `Slow, test_headroom_policy_runs);
+    ("headroom policy runs (golden rows)", `Slow, test_headroom_policy_runs);
     ("headroom policy is live", `Quick, test_headroom_policy_is_live);
     ("headroom+shift trace replays", `Quick, test_headroom_trace_replays);
   ]

@@ -1,5 +1,6 @@
 (* Tests for HC4 revision: soundness (no solution is lost), contraction
-   (results are sub-intervals of the inputs), and specific projections. *)
+   (results are sub-intervals of the inputs), specific projections, and the
+   compiled kernel's bit-identity with the boxed reference ([Hc4_ref]). *)
 
 open Adpm_interval
 open Adpm_expr
@@ -8,15 +9,48 @@ let iv = Alcotest.testable Interval.pp Interval.equal
 
 let env_of bindings name = List.assoc name bindings
 
+(* After a successful [revise_kernel], the accumulators hold exactly the
+   reference's narrowed floats, down to the sign of zero (slot [j] belongs
+   to [k_vars.(j)]). *)
+let kernel_agrees k ~var_id bs =
+  List.for_all
+    (fun (name, iv') ->
+      let j = ref 0 in
+      while k.Hc4.k_vars.(!j) <> var_id name do incr j done;
+      Float.equal k.Hc4.k_acc_lo.(!j) (Interval.lo iv')
+      && Float.equal k.Hc4.k_acc_hi.(!j) (Interval.hi iv'))
+    bs
+
+(* One hand-written case through both interpreters: the boxed reference
+   and the production kernel ([compile] + [revise_kernel]) must agree bit
+   for bit; the reference's result is returned for the case's own
+   assertions. *)
+let revise ~env e target =
+  let names = Array.of_list (Expr.vars e) in
+  let var_id x =
+    let rec find j = if names.(j) = x then j else find (j + 1) in
+    find 0
+  in
+  let k = Hc4.compile ~var_id e ~target in
+  let lo = Array.map (fun x -> Interval.lo (env x)) names in
+  let hi = Array.map (fun x -> Interval.hi (env x)) names in
+  let ok = Hc4.revise_kernel k ~lo ~hi in
+  let r = Hc4_ref.revise ~env e target in
+  Alcotest.(check bool) "kernel agrees with the reference" true
+    (match r with
+    | Hc4_ref.Empty -> not ok
+    | Hc4_ref.Narrowed bs -> ok && kernel_agrees k ~var_id bs);
+  r
+
 let narrowed = function
-  | Hc4.Narrowed bs -> bs
-  | Hc4.Empty -> Alcotest.fail "expected Narrowed"
+  | Hc4_ref.Narrowed bs -> bs
+  | Hc4_ref.Empty -> Alcotest.fail "expected Narrowed"
 
 let test_simple_le () =
   (* x + y <= 5 with x IN [0,10], y IN [2,3]:  x must be <= 3 *)
   let env = env_of [ ("x", Interval.make 0. 10.); ("y", Interval.make 2. 3.) ] in
   let expr = Expr.(Add (Var "x", Var "y")) in
-  let bs = narrowed (Hc4.revise ~env expr (Interval.make neg_infinity 5.)) in
+  let bs = narrowed (revise ~env expr (Interval.make neg_infinity 5.)) in
   let x = List.assoc "x" bs in
   Alcotest.(check bool) "x hi narrowed to ~3" true
     (Interval.hi x >= 3. && Interval.hi x < 3.001);
@@ -29,25 +63,25 @@ let test_point_satisfied_not_empty () =
   let expr =
     Expr.(Sub (Var "ga", Add (Mul (Const 2., Var "xa"), Const 0.4)))
   in
-  match Hc4.revise ~env expr (Interval.make neg_infinity 1e-9) with
-  | Hc4.Empty -> Alcotest.fail "satisfied point box must not be Empty"
-  | Hc4.Narrowed _ -> ()
+  match revise ~env expr (Interval.make neg_infinity 1e-9) with
+  | Hc4_ref.Empty -> Alcotest.fail "satisfied point box must not be Empty"
+  | Hc4_ref.Narrowed _ -> ()
 
 let test_certain_violation_empty () =
   let env = env_of [ ("x", Interval.make 5. 6.) ] in
   let expr = Expr.Var "x" in
-  (match Hc4.revise ~env expr (Interval.make neg_infinity 4.) with
-  | Hc4.Empty -> ()
-  | Hc4.Narrowed _ -> Alcotest.fail "x IN [5,6] <= 4 must be Empty");
-  match Hc4.revise ~env (Expr.Sqrt (Expr.Neg expr)) Interval.full with
-  | Hc4.Empty -> ()
-  | Hc4.Narrowed _ -> Alcotest.fail "sqrt of negative box must be Empty"
+  (match revise ~env expr (Interval.make neg_infinity 4.) with
+  | Hc4_ref.Empty -> ()
+  | Hc4_ref.Narrowed _ -> Alcotest.fail "x IN [5,6] <= 4 must be Empty");
+  match revise ~env (Expr.Sqrt (Expr.Neg expr)) Interval.full with
+  | Hc4_ref.Empty -> ()
+  | Hc4_ref.Narrowed _ -> Alcotest.fail "sqrt of negative box must be Empty"
 
 let test_multiplication_projection () =
   (* x * y = 6, x IN [1,10], y IN [2,3] -> x IN [2,3] *)
   let env = env_of [ ("x", Interval.make 1. 10.); ("y", Interval.make 2. 3.) ] in
   let expr = Expr.(Mul (Var "x", Var "y")) in
-  let bs = narrowed (Hc4.revise ~env expr (Interval.of_point 6.)) in
+  let bs = narrowed (revise ~env expr (Interval.of_point 6.)) in
   let x = List.assoc "x" bs in
   Alcotest.(check bool) "x within [2,3] (+slack)" true
     (Interval.lo x > 1.99 && Interval.hi x < 3.01)
@@ -58,7 +92,7 @@ let test_multiple_occurrences () =
      intersect) *)
   let env = env_of [ ("x", Interval.make 0. 10.) ] in
   let expr = Expr.(Add (Var "x", Var "x")) in
-  let bs = narrowed (Hc4.revise ~env expr (Interval.of_point 4.)) in
+  let bs = narrowed (revise ~env expr (Interval.of_point 4.)) in
   let x = List.assoc "x" bs in
   Alcotest.(check bool) "contains 2" true (Interval.mem 2. x);
   Alcotest.(check bool) "narrower than input" true (Interval.width x < 10.)
@@ -67,14 +101,14 @@ let test_min_max_projection () =
   (* min(x, y) >= 3 forces both above 3 *)
   let env = env_of [ ("x", Interval.make 0. 10.); ("y", Interval.make 0. 10.) ] in
   let expr = Expr.(Min (Var "x", Var "y")) in
-  let bs = narrowed (Hc4.revise ~env expr (Interval.make 3. infinity)) in
+  let bs = narrowed (revise ~env expr (Interval.make 3. infinity)) in
   Alcotest.(check bool) "x >= 3" true (Interval.lo (List.assoc "x" bs) >= 2.99);
   Alcotest.(check bool) "y >= 3" true (Interval.lo (List.assoc "y" bs) >= 2.99)
 
 let test_unchanged_variables_included () =
   let env = env_of [ ("x", Interval.make 0. 1.); ("y", Interval.make 0. 1.) ] in
   let expr = Expr.(Add (Var "x", Var "y")) in
-  let bs = narrowed (Hc4.revise ~env expr Interval.full) in
+  let bs = narrowed (revise ~env expr Interval.full) in
   Alcotest.(check iv) "x unchanged" (Interval.make 0. 1.) (List.assoc "x" bs);
   Alcotest.(check iv) "y unchanged" (Interval.make 0. 1.) (List.assoc "y" bs)
 
@@ -117,9 +151,9 @@ let hc4_preserves_solutions =
       else begin
         (* target: an interval containing the witness value *)
         let target = Interval.make (value -. 0.5) (value +. 0.5) in
-        match Hc4.revise ~env expr target with
-        | Hc4.Empty -> false (* witness lost! *)
-        | Hc4.Narrowed bs ->
+        match Hc4_ref.revise ~env expr target with
+        | Hc4_ref.Empty -> false (* witness lost! *)
+        | Hc4_ref.Narrowed bs ->
           let tolerance_mem v iv' =
             Interval.mem v (Interval.inflate (1e-9 *. (1. +. abs_float v)) iv')
           in
@@ -138,9 +172,9 @@ let hc4_contracts =
       let xiv = Interval.make (x -. wx) (x +. wx) in
       let yiv = Interval.make (y -. wy) (y +. wy) in
       let env = env_of [ ("x", xiv); ("y", yiv) ] in
-      match Hc4.revise ~env expr (Interval.make (-5.) 5.) with
-      | Hc4.Empty -> true
-      | Hc4.Narrowed bs ->
+      match Hc4_ref.revise ~env expr (Interval.make (-5.) 5.) with
+      | Hc4_ref.Empty -> true
+      | Hc4_ref.Narrowed bs ->
         Interval.subset (List.assoc "x" bs) xiv
         && Interval.subset (List.assoc "y" bs) yiv)
 
@@ -181,24 +215,10 @@ let kernel_matches_boxed =
       let k = Hc4.compile ~var_id expr ~target in
       let lo = [| Interval.lo xiv; Interval.lo yiv |] in
       let hi = [| Interval.hi xiv; Interval.hi yiv |] in
-      match (Hc4.revise ~env expr target, Hc4.revise_kernel k ~lo ~hi) with
-      | Hc4.Empty, false -> true
-      | Hc4.Empty, true | Hc4.Narrowed _, false -> false
-      | Hc4.Narrowed bs, true ->
-        (* the accumulators are indexed by position in [k_vars] (the
-           expression's variable order), and must hold the exact same
-           floats as the boxed result, down to the sign of zero *)
-        let pos name =
-          let id = var_id name in
-          let rec find j = if k.Hc4.k_vars.(j) = id then j else find (j + 1) in
-          find 0
-        in
-        List.for_all
-          (fun (name, iv') ->
-            let j = pos name in
-            Float.equal k.Hc4.k_acc_lo.(j) (Interval.lo iv')
-            && Float.equal k.Hc4.k_acc_hi.(j) (Interval.hi iv'))
-          bs)
+      match (Hc4_ref.revise ~env expr target, Hc4.revise_kernel k ~lo ~hi) with
+      | Hc4_ref.Empty, false -> true
+      | Hc4_ref.Empty, true | Hc4_ref.Narrowed _, false -> false
+      | Hc4_ref.Narrowed bs, true -> kernel_agrees k ~var_id bs)
 
 
 (* {2 Zero allocation: the kernel's steady state allocates nothing} *)
@@ -351,20 +371,13 @@ let kernel_matches_boxed_random =
       let k = Hc4.compile ~var_id e ~target in
       (not valid)
       ||
-      match Hc4.revise ~env e target with
+      match Hc4_ref.revise ~env e target with
       | exception Invalid_argument _ ->
         (* a NaN projection the boxed path rejects; nothing to compare *)
         true
-      | Hc4.Empty -> not (Hc4.revise_kernel k ~lo ~hi)
-      | Hc4.Narrowed bs ->
-        Hc4.revise_kernel k ~lo ~hi
-        && List.for_all
-             (fun (name, iv') ->
-               let j = ref 0 in
-               while k.Hc4.k_vars.(!j) <> var_id name do incr j done;
-               Float.equal k.Hc4.k_acc_lo.(!j) (Interval.lo iv')
-               && Float.equal k.Hc4.k_acc_hi.(!j) (Interval.hi iv'))
-             bs)
+      | Hc4_ref.Empty -> not (Hc4.revise_kernel k ~lo ~hi)
+      | Hc4_ref.Narrowed bs ->
+        Hc4.revise_kernel k ~lo ~hi && kernel_agrees k ~var_id bs)
 
 let suite =
   [
